@@ -15,10 +15,10 @@ import repro.video.VideoProfile
 class Fig12ErosionBench extends AnyFunSuite {
 
   private lazy val cfg = VStoreConfigurator.derive()
+  private lazy val budgets = Reports.fig12Budgets(cfg)
   private lazy val intact =
-    VStoreConfigurator.bytesPerDay(cfg, VideoProfile.jackson).values.sum * 10
-  private lazy val budgets = Seq(1.1, 0.8, 0.6, 0.4).map(_ * intact)
-  private lazy val results = Reports.fig12(cfg, lifespanDays = 10, budgets)
+    VStoreConfigurator.bytesPerDay(cfg, VideoProfile.jackson).values.sum * Reports.fig12LifespanDays
+  private lazy val results = Reports.fig12(cfg, Reports.fig12LifespanDays, budgets)
 
   test("print Figure 12 numbers (paper vs measured in EXPERIMENTS.md)") {
     info(f"intact 10-day footprint: ${intact / 1e12}%.2f TB (paper: 5 TB)")

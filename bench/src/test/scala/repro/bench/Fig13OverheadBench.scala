@@ -4,7 +4,6 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.report.Reports
 import repro.core.{Profiler, StorageConfig, VStoreConfigurator}
 import repro.video.Knobs._
-import repro.video.Formats.ConsumptionFormat
 import repro.video.{CodecModel, VideoProfile}
 import repro.video.OperatorModel
 import repro.video.OperatorModel.Consumer
@@ -28,6 +27,12 @@ class Fig13OverheadBench extends AnyFunSuite {
     rows.foreach { r =>
       assert(r.exhaustiveRuns.toDouble / r.boundaryRuns > 3, s"${r.op}")
     }
+  }
+
+  test("the staircase boundary walk needs fewer than 645 profiling runs in total") {
+    // 645 is the total of a walk that also probed left of the boundary on
+    // every resolution; the staircase only moves right after the first one
+    assert(rows.map(_.boundaryRuns).sum < 645)
   }
 
   test("total profiling delay falls ~5x (paper: 2000 s -> 400 s)") {
@@ -54,7 +59,7 @@ class Fig13OverheadBench extends AnyFunSuite {
   test("coalescing profiles a tiny fraction of the 15K format space") {
     val cfg = VStoreConfigurator.derive()
     val p = new Profiler(new Profiler.AnalyticOpBackend(VideoProfile.jackson), VideoProfile.jackson)
-    val triples = cfg.derived.map(d => (d.consumer, ConsumptionFormat(d.fidelity), d.consumptionSpeed))
+    val triples = VStoreConfigurator.storageInputs(cfg.derived)
     StorageConfig.derive(p, triples)
     val frac = p.sfRuns.toDouble / (Fidelity.space.size * Coding.space.size)
     val hitRate = 1.0 - p.sfRuns.toDouble / p.sfExamined
@@ -70,7 +75,7 @@ class Fig13OverheadBench extends AnyFunSuite {
       a <- OperatorModel.accuracyLevels
     } yield Consumer(op, a)
     val cfg = VStoreConfigurator.derive(consumers)
-    val triples = cfg.derived.map(d => (d.consumer, ConsumptionFormat(d.fidelity), d.consumptionSpeed))
+    val triples = VStoreConfigurator.storageInputs(cfg.derived)
     def cost(r: StorageConfig.Result) =
       r.sfs.map(sf => CodecModel.storedBytesPerSec(sf, VideoProfile.jackson)).sum
     val p1 = new Profiler(new Profiler.AnalyticOpBackend(VideoProfile.jackson), VideoProfile.jackson)

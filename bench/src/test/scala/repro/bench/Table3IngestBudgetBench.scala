@@ -13,10 +13,7 @@ import repro.report.Reports
   */
 class Table3IngestBudgetBench extends AnyFunSuite {
 
-  private val budgets: Seq[Option[Double]] =
-    Seq(None, Some(10), Some(8), Some(4), Some(3), Some(2), Some(1), Some(0.5), Some(0.15))
-
-  private lazy val rows = Reports.table3(budgets)
+  private lazy val rows = Reports.table3(Reports.table3Budgets)
 
   test("print Table 3 (paper vs measured in EXPERIMENTS.md)") {
     Reports.table3Lines(rows).foreach(info(_))

@@ -3,10 +3,11 @@ package repro.jobs
 import repro.report.Reports
 import repro.core.VStoreConfigurator
 
-/** spark-submit entrypoints, one per reproduced table/figure. The
-  * configuration derivation itself is driver-side (profiling uses the
-  * analytic backend); the Spark-executed paths (ingest, cascades, empirical
-  * F1) are exercised by Fig11Job and the test/bench suites.
+/** spark-submit entrypoints, one per reproduced table/figure. No job here
+  * starts a Spark job: derivation profiles analytically and the reports
+  * read the models. The Spark-executed paths (ingest, cascades, empirical
+  * F1) are exercised by the test and bench suites (SegmentStoreSpec,
+  * QueryEngineSpec, Fig11EndToEndBench).
   */
 object Table2Job {
   def main(args: Array[String]): Unit = {
@@ -17,9 +18,7 @@ object Table2Job {
 
 object Table3Job {
   def main(args: Array[String]): Unit = {
-    val budgets: Seq[Option[Double]] =
-      Seq(None, Some(10), Some(8), Some(4), Some(3), Some(2), Some(1), Some(0.5), Some(0.15))
-    Reports.table3Lines(Reports.table3(budgets)).foreach(println)
+    Reports.table3Lines(Reports.table3(Reports.table3Budgets)).foreach(println)
   }
 }
 
@@ -33,11 +32,8 @@ object Fig11Job {
 object Fig12Job {
   def main(args: Array[String]): Unit = {
     val cfg = VStoreConfigurator.derive()
-    val intact = VStoreConfigurator.bytesPerDay(cfg, repro.video.VideoProfile.jackson)
-      .values.sum * 10
-    // budgets relative to the intact 10-day footprint, like the paper's 5/4/3/2 TB
-    val budgets = Seq(1.1, 0.8, 0.6, 0.4).map(_ * intact)
-    Reports.fig12Lines(Reports.fig12(cfg, lifespanDays = 10, budgets)).foreach(println)
+    Reports.fig12Lines(Reports.fig12(cfg, Reports.fig12LifespanDays, Reports.fig12Budgets(cfg)))
+      .foreach(println)
   }
 }
 

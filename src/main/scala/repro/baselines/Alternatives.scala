@@ -1,9 +1,9 @@
 package repro.baselines
 
-import repro.video.Knobs._
 import repro.video.Formats._
 import repro.video.{CodecModel, VideoProfile}
 import repro.video.OperatorModel.{Consumer, Operator}
+import repro.core.{StorageConfig, VStoreConfigurator}
 import repro.core.VStoreConfigurator.Configuration
 import repro.query.QueryEngine
 import repro.query.QueryEngine.Stage
@@ -29,20 +29,13 @@ object Alternatives {
 
   val all: Vector[Config] = Vector(VStoreCfg, OneToOne, OneToN, NToN)
 
-  /** The N->N storage set: one SF per unique CF, coding chosen exactly as
-    * VStore's initial (pre-coalescing) nodes do — cheapest-size coding that
-    * keeps retrieval adequate for that CF's fastest consumer.
+  /** The N->N storage set: VStore's initial one-SF-per-CF nodes (§4.3),
+    * without the golden node — each CF at its smallest-size coding that
+    * keeps retrieval adequate for its fastest consumer.
     */
   def nToNSfs(cfg: Configuration): Vector[StorageFormat] = {
-    val demands = cfg.derived.groupBy(d => ConsumptionFormat(d.fidelity)).map {
-      case (cf, ds) => repro.core.StorageConfig.Demand(cf, ds.map(_.consumptionSpeed).max)
-    }.toVector
-    demands.map { d =>
-      val coding = repro.core.StorageConfig
-        .cheapestAdequateCoding(cfg.profilerA, d.cf.fidelity, Seq(d))
-        .getOrElse(Raw)
-      StorageFormat(d.cf.fidelity, coding)
-    }.distinct
+    val demands = StorageConfig.demands(cfg.profilerA, VStoreConfigurator.storageInputs(cfg.derived))
+    StorageConfig.initialNodes(cfg.profilerA, demands).filter(_.cfs.nonEmpty).map(_.sf)
   }
 
   /** Stages of a cascade under an alternative configuration. */
@@ -60,12 +53,8 @@ object Alternatives {
         QueryEngine.stagesFor(cascade, accuracy, c => cfg.cfOf(c), _ => golden)
       case NToN =>
         // same CFs and per-CF SFs as VStore's uncoalesced initial set
-        val sfs = nToNSfs(cfg)
-        QueryEngine.stagesFor(cascade, accuracy, c => cfg.cfOf(c), { c =>
-          val f = cfg.cfOf(c)
-          sfs.find(_.fidelity == f)
-            .getOrElse(sfs.filter(_.fidelity.richerOrEqual(f)).minBy(_.fidelity.pixelRate))
-        })
+        val sfOf = nToNSfs(cfg).map(sf => sf.fidelity -> sf).toMap
+        QueryEngine.stagesFor(cascade, accuracy, c => cfg.cfOf(c), c => sfOf(cfg.cfOf(c)))
     }
   }
 

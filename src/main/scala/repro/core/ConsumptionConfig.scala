@@ -32,67 +32,30 @@ object ConsumptionConfig {
 
   /** Walk the accuracy boundary of one (resolution x sampling) slice.
     *
-    * The grid is monotone: accuracy is non-decreasing in resolution and in
-    * sampling. Starting from the richest corner (max resolution, max
-    * sampling) we scan resolutions downward; for each resolution we walk
-    * sampling leftward until accuracy turns inadequate. Because the boundary
-    * column is non-increasing as resolution drops... (it is non-decreasing:
-    * poorer resolution needs richer sampling or more) — concretely we keep a
-    * cursor that only moves monotonically, so the walk profiles
-    * O(N_res + N_samp) cells. Every *minimal adequate* cell met on the walk
-    * is collected; the paper explores the entire boundary because the lowest
-    * consumption cost may sit anywhere on it.
+    * Accuracy is non-decreasing in resolution and in sampling (O1), so the
+    * minimal adequate sampling can only grow as resolution drops: a
+    * monotone staircase. The walk finds it on the richest resolution by
+    * moving left from the richest sampling; after that the sampling cursor
+    * only moves right, one resolution at a time, and the walk stops at the
+    * first resolution with no adequate sampling (every poorer one has none
+    * either). It profiles O(N_res + N_samp) cells and returns the minimal
+    * adequate cell of each resolution it reached; the paper keeps the whole
+    * boundary because the lowest consumption cost may sit anywhere on it.
     */
   def boundaryCandidates(profiler: Profiler, op: Operator, target: Double,
                          quality: ImageQuality, crop: CropFactor): Vector[Fidelity] = {
     val resos = Resolution.ten.sortBy(-_.height) // richest first
     val samps = FrameSampling.all                 // poorest..richest
-    var jRight = samps.length - 1                 // rightmost (richest) column
-    val out = Vector.newBuilder[Fidelity]
-    var j = jRight
-    var stop = false
-    for (res <- resos if !stop) {
-      def fid(jj: Int) = Fidelity(quality, crop, res, samps(jj))
-      // move left while adequate
-      var lastAdequate = -1
-      var cont = true
-      while (cont) {
-        val p = profiler.profileOp(op, fid(j))
-        if (p.accuracy >= target) {
-          lastAdequate = j
-          if (j == 0) cont = false else j -= 1
-        } else {
-          cont = false
-        }
-      }
-      if (lastAdequate >= 0) {
-        out += fid(lastAdequate)
-        // next (poorer) resolution needs >= this sampling; resume the cursor
-        // from the boundary column
-        j = lastAdequate
-      } else {
-        // even the current column is inadequate at this resolution; if the
-        // richest column at this resolution is also inadequate, all poorer
-        // resolutions are too (monotone in resolution) — but we only know
-        // about column j. Check the richest column once; if inadequate, stop.
-        if (j == jRight) stop = true
-        else {
-          val pRich = profiler.profileOp(op, fid(jRight))
-          if (pRich.accuracy >= target) {
-            // boundary moved right: find it by walking right from j+1
-            var jj = j + 1
-            var found = -1
-            while (found < 0 && jj <= jRight) {
-              val p = profiler.profileOp(op, fid(jj))
-              if (p.accuracy >= target) found = jj else jj += 1
-            }
-            out += fid(found)
-            j = found
-          } else stop = true
-        }
-      }
+    def adequate(res: Resolution, j: Int): Boolean =
+      profiler.profileOp(op, Fidelity(quality, crop, res, samps(j))).accuracy >= target
+    // richest resolution: walk left while adequate
+    val first = (samps.length - 1 to 0 by -1).iterator
+      .takeWhile(adequate(resos.head, _)).toVector.lastOption
+    // poorer resolutions: walk right from the previous column
+    val cols = resos.tail.scanLeft(first) { (col, res) =>
+      col.flatMap(j => (j until samps.length).find(adequate(res, _)))
     }
-    out.result()
+    resos.zip(cols).collect { case (res, Some(j)) => Fidelity(quality, crop, res, samps(j)) }
   }
 
   /** Derive the consumption format for one consumer. Falls back to the full

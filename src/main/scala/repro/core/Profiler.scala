@@ -28,25 +28,17 @@ object Profiler {
     */
   final case class SfProfile(bytesPerSec: Double, ingestCores: Double)
 
-  /** Backend that actually "runs" a profile. The analytic backend reads the
-    * models; the Spark backend (see query.QueryEngine) measures empirical F1
-    * over a sample clip — both are exercised in tests.
+  /** Profiles operators analytically over a given profiling video (paper
+    * profiles query A's operators on jackson and query B's on dashcam).
     */
-  trait OpBackend {
-    def run(op: Operator, f: Fidelity): OpProfile
-  }
-
-  /** Analytic backend over a given profiling video (paper profiles query A's
-    * operators on jackson and query B's on dashcam).
-    */
-  final class AnalyticOpBackend(video: VideoProfile) extends OpBackend {
+  final class AnalyticOpBackend(video: VideoProfile) {
     def run(op: Operator, f: Fidelity): OpProfile =
       OpProfile(op.accuracy(f, video), op.consumptionCost(f))
   }
 }
 
 /** Stateful profiler for one configuration process. */
-final class Profiler(backend: Profiler.OpBackend, video: VideoProfile,
+final class Profiler(backend: Profiler.AnalyticOpBackend, video: VideoProfile,
                      val sampleClipSec: Double = 10.0) {
   import Profiler._
 

@@ -31,40 +31,53 @@ object StorageConfig {
     /** CF -> storage format serving it. */
     def subscription: Map[ConsumptionFormat, StorageFormat] =
       (for (n <- nodes; cf <- n.cfs) yield cf -> n.sf).toMap
+    /** The stored golden format: the erosion root, never eroded (§4.4). */
+    lazy val root: StorageFormat = StorageConfig.root(sfs)
+  }
+
+  /** The golden root of a stored format set: the format richer-or-equal to
+    * every other, ties broken by name. The golden node starts at the
+    * knob-wise max fidelity and merges only take knob-wise maxima, so every
+    * derived set has one.
+    */
+  def root(sfs: Seq[StorageFormat]): StorageFormat = {
+    val roots = sfs.filter(r => sfs.forall(o => r.fidelity.richerOrEqual(o.fidelity)))
+    require(roots.nonEmpty, s"no format is richer-or-equal to all of ${sfs.mkString(", ")}")
+    roots.minBy(_.toString)
   }
 
   /** Demand of one consumption format: the fastest consumption speed among
     * its consumers (retrieval must beat it, R2) and its sampling rate.
-    *
-    * The demand is capped at the fastest physically attainable retrieval for
-    * this CF — RAW at the CF's own fidelity — because no storage format can
-    * retrieve faster than that; consumers faster than the disk are
-    * necessarily retrieval-bound (the paper's SF3 row has the same property:
-    * its retrieval ceiling is what such consumers get).
     */
   final case class Demand(cf: ConsumptionFormat, maxConsumerSpeed: Double)
 
-  /** Cap a raw consumer speed at the best attainable retrieval for its CF. */
-  def cappedDemand(profiler: Profiler, cf: ConsumptionFormat, speed: Double): Demand = {
-    val ceiling = profiler.retrievalSpeed(
-      StorageFormat(cf.fidelity, Raw), cf.fidelity.sampling.fps)
-    Demand(cf, math.min(speed, ceiling))
-  }
-
-  /** Smallest-size coding for fidelity `f` whose retrieval speed beats every
-    * demand; RAW if no encoded option suffices (R2 case b). Candidates are
-    * ordered by stored size (profiled; the profiler memoizes), so the pick
-    * minimizes storage under the speed constraint. Returns None when even
-    * RAW cannot serve the demands.
+  /** One demand per unique CF, ordered by CF name. Each is capped at the
+    * fastest physically attainable retrieval for its CF — RAW at the CF's
+    * own fidelity — because no storage format can retrieve faster than that;
+    * consumers faster than the disk are necessarily retrieval-bound (the
+    * paper's SF3 row has the same property: its retrieval ceiling is what
+    * such consumers get).
     */
-  def cheapestAdequateCoding(profiler: Profiler, f: Fidelity, demands: Seq[Demand]): Option[Coding] = {
-    val encoded: Seq[Coding] =
-      for (s <- SpeedStep.all; k <- KeyframeInterval.all) yield Encoded(s, k)
-    val bySize = encoded.sortBy(c => profiler.profileSf(StorageFormat(f, c)).bytesPerSec)
-    val candidates = bySize :+ (Raw: Coding)
-    candidates.find { c =>
+  def demands(profiler: Profiler, consumers: Seq[(Consumer, ConsumptionFormat, Double)]): Vector[Demand] =
+    consumers.groupBy(_._2).map { case (cf, cs) =>
+      val ceiling = profiler.retrievalSpeed(
+        StorageFormat(cf.fidelity, Raw), cf.fidelity.sampling.fps)
+      Demand(cf, math.min(cs.map(_._3).max, ceiling))
+    }.toVector.sortBy(_.cf.toString)
+
+  /** Smallest-size coding for fidelity `f` whose storage format `admit`s and
+    * whose retrieval speed beats every demand; RAW if no encoded option
+    * suffices (R2 case b). Candidates are ordered by stored size (profiled;
+    * the profiler memoizes), so the pick minimizes storage under the
+    * constraints. Returns None when even RAW is not adequate.
+    */
+  def cheapestAdequateCoding(profiler: Profiler, f: Fidelity, demands: Seq[Demand],
+                             admit: StorageFormat => Boolean = _ => true): Option[Coding] = {
+    val bySize = Coding.space.filterNot(_.isRaw)
+      .sortBy(c => profiler.profileSf(StorageFormat(f, c)).bytesPerSec)
+    (bySize :+ Raw).find { c =>
       val sf = StorageFormat(f, c)
-      demands.forall(d => retrievalOk(profiler, sf, d))
+      demands.forall(d => retrievalOk(profiler, sf, d)) && admit(sf)
     }
   }
 
@@ -81,51 +94,26 @@ object StorageConfig {
     nodes.map(n => profiler.profileSf(n.sf).ingestCores).sum
 
   /** Attempt to coalesce two nodes: knob-wise max fidelity, then the
-    * smallest-size coding adequate for the union of demands. None if no
-    * coding (not even RAW) can serve them all.
+    * smallest-size admitted coding adequate for the union of demands. None
+    * if no coding (not even RAW) qualifies.
     */
   def coalescePair(profiler: Profiler, a: Node, b: Node,
-                   demandOf: Map[ConsumptionFormat, Demand]): Option[Node] = {
+                   demandOf: Map[ConsumptionFormat, Demand],
+                   admit: StorageFormat => Boolean = _ => true): Option[Node] = {
     val f2 = Fidelity.max(a.sf.fidelity, b.sf.fidelity)
     val cfs = a.cfs ++ b.cfs
-    val demands = cfs.toSeq.map(demandOf)
-    cheapestAdequateCoding(profiler, f2, demands).map(c => Node(StorageFormat(f2, c), cfs))
+    cheapestAdequateCoding(profiler, f2, cfs.toSeq.map(demandOf), admit)
+      .map(c => Node(StorageFormat(f2, c), cfs))
   }
 
-  /** Budget-mode coalescing: the merge only helps if it lowers ingest below
-    * the pair's current cost, so among all *adequate* codings pick those
-    * that do, and of them the smallest-size one (least storage damage).
-    */
-  def coalescePairUnderBudget(profiler: Profiler, a: Node, b: Node,
-                              demandOf: Map[ConsumptionFormat, Demand],
-                              rawForbidden: Fidelity => Boolean = _ => false): Option[Node] = {
-    val f2 = Fidelity.max(a.sf.fidelity, b.sf.fidelity)
-    val cfs = a.cfs ++ b.cfs
-    val demands = cfs.toSeq.map(demandOf)
-    val pairIngest = profiler.profileSf(a.sf).ingestCores + profiler.profileSf(b.sf).ingestCores
-    val candidates = Coding.space.filter { c =>
-      val sf = StorageFormat(f2, c)
-      (!c.isRaw || !rawForbidden(f2)) &&
-        demands.forall(d => retrievalOk(profiler, sf, d)) &&
-        profiler.profileSf(sf).ingestCores < pairIngest - 1e-12
-    }
-    if (candidates.isEmpty) None
-    else {
-      val c = candidates.minBy(c2 => profiler.profileSf(StorageFormat(f2, c2)).bytesPerSec)
-      Some(Node(StorageFormat(f2, c), cfs))
-    }
-  }
-
-  /** Build the initial node set: one SF per unique CF + the golden format. */
+  /** The initial node set: one SF per unique CF, then the golden node. */
   def initialNodes(profiler: Profiler, demands: Seq[Demand]): Vector[Node] = {
     val perCf = demands.map { d =>
-      val coding = cheapestAdequateCoding(profiler, d.cf.fidelity, Seq(d))
-        .getOrElse(Raw)
+      val coding = cheapestAdequateCoding(profiler, d.cf.fidelity, Seq(d)).getOrElse(Raw)
       Node(StorageFormat(d.cf.fidelity, coding), Set(d.cf))
     }
-    val goldenSf = Formats.golden(demands.map(_.cf))
     // the golden node initially serves no CF; it exists as the erosion root
-    perCf.toVector :+ Node(goldenSf, Set.empty)
+    perCf.toVector :+ Node(Formats.golden(demands.map(_.cf)), Set.empty)
   }
 
   /** Run greedy coalescing. `ingestBudgetCores` of None means "minimize
@@ -133,56 +121,51 @@ object StorageConfig {
     */
   def derive(profiler: Profiler, consumers: Seq[(Consumer, ConsumptionFormat, Double)],
              ingestBudgetCores: Option[Double] = None): Result = {
-    // demand per unique CF: fastest consumer subscribing to it, capped at
-    // the best physically attainable retrieval for that CF
-    val demandOf: Map[ConsumptionFormat, Demand] =
-      consumers.groupBy(_._2).map { case (cf, cs) =>
-        cf -> cappedDemand(profiler, cf, cs.map(_._3).max)
-      }
-    var nodes = initialNodes(profiler, demandOf.values.toSeq.sortBy(_.cf.toString))
+    val ds = demands(profiler, consumers)
+    val demandOf = ds.map(d => d.cf -> d).toMap
+    var nodes = initialNodes(profiler, ds)
     var rounds = 0
 
     // Phase 1: coalesce while some pair reduces ingest without raising storage.
     var progress = true
     while (progress) {
-      progress = false
-      val cur = nodes
-      val curStorage = storageCost(profiler, cur)
-      val curIngest = ingestCost(profiler, cur)
-      val best = bestMerge(profiler, cur, demandOf,
+      val curStorage = storageCost(profiler, nodes)
+      val curIngest = ingestCost(profiler, nodes)
+      val best = bestMerge(profiler, nodes, demandOf,
         keep = (st, in) => st <= curStorage + 1e-9 && in < curIngest - 1e-12,
-        score = (st, in) => in)
+        score = (_, in) => in)
       best.foreach { case (i, j, merged) =>
-        nodes = applyMerge(cur, i, j, merged)
+        nodes = applyMerge(nodes, i, j, merged)
         rounds += 1
-        progress = true
       }
+      progress = best.isDefined
     }
 
     // Phase 2: enforce the ingest budget — cheaper coding first, then
-    // storage-increasing coalescing. The golden (knob-wise max) fidelity is
-    // the erosion anchor (§4.4) and is never stored RAW: its raw footprint
-    // would dwarf every other cost.
-    val goldenFid = nodes.map(_.sf.fidelity).reduce(Fidelity.max)
-    val noRawGolden: Fidelity => Boolean = f => f == goldenFid
+    // storage-increasing coalescing. The golden fidelity is the erosion
+    // anchor (§4.4) and is never stored RAW: its raw footprint would dwarf
+    // every other cost.
+    val goldenFid = root(nodes.map(_.sf)).fidelity
+    def noRawGolden(sf: StorageFormat): Boolean = !(sf.coding.isRaw && sf.fidelity == goldenFid)
+    // a budget merge only helps if it lowers ingest below the pair's own cost
+    def cheaperThanPair(a: Node, b: Node): StorageFormat => Boolean = {
+      val pairIngest = profiler.profileSf(a.sf).ingestCores + profiler.profileSf(b.sf).ingestCores
+      sf => noRawGolden(sf) && profiler.profileSf(sf).ingestCores < pairIngest - 1e-12
+    }
     ingestBudgetCores.foreach { budget =>
-      var guard = 0
-      while (ingestCost(profiler, nodes) > budget && guard < 1000) {
-        guard += 1
-        val tuned = bestCodingTune(profiler, nodes, demandOf, noRawGolden)
-        tuned match {
+      var stuck = false
+      while (!stuck && ingestCost(profiler, nodes) > budget) {
+        bestCodingTune(profiler, nodes, demandOf, noRawGolden) match {
           case Some((idx, node)) => nodes = nodes.updated(idx, node)
           case None =>
-            val cur = nodes
-            val curIngest = ingestCost(profiler, cur)
-            val best = bestMerge(profiler, cur, demandOf,
+            val curIngest = ingestCost(profiler, nodes)
+            bestMerge(profiler, nodes, demandOf,
               keep = (_, in) => in < curIngest - 1e-12,
               score = (st, _) => st, // least resulting storage (least damage)
-              merge = coalescePairUnderBudget(_, _, _, _, noRawGolden))
-            best match {
+              admit = cheaperThanPair) match {
               case Some((i, j, merged)) =>
-                nodes = applyMerge(cur, i, j, merged); rounds += 1
-              case None => guard = 1000 // nothing else reduces ingest
+                nodes = applyMerge(nodes, i, j, merged); rounds += 1
+              case None => stuck = true // nothing else reduces ingest
             }
         }
       }
@@ -191,22 +174,22 @@ object StorageConfig {
     Result(nodes, rounds)
   }
 
-  /** Best merge among all pairs by `score` (higher is better) over the
-    * resulting (storage, ingest), filtered by `keep`.
+  /** Best merge among all pairs by `score` (lower is better) over the
+    * resulting (storage, ingest), filtered by `keep`; `admit` filters the
+    * merged coding per pair.
     */
   private def bestMerge(profiler: Profiler, nodes: Vector[Node],
                         demandOf: Map[ConsumptionFormat, Demand],
                         keep: (Double, Double) => Boolean,
                         score: (Double, Double) => Double,
-                        merge: (Profiler, Node, Node, Map[ConsumptionFormat, Demand]) => Option[Node]
-                          = coalescePair)
+                        admit: (Node, Node) => StorageFormat => Boolean = (_, _) => _ => true)
   : Option[(Int, Int, Node)] = {
     val curStorage = storageCost(profiler, nodes)
     val curIngest = ingestCost(profiler, nodes)
     val options = for {
       i <- nodes.indices
       j <- nodes.indices if j > i
-      merged <- merge(profiler, nodes(i), nodes(j), demandOf).toSeq
+      merged <- coalescePair(profiler, nodes(i), nodes(j), demandOf, admit(nodes(i), nodes(j))).toSeq
       mergedStorage = curStorage -
         profiler.profileSf(nodes(i).sf).bytesPerSec -
         profiler.profileSf(nodes(j).sf).bytesPerSec +
@@ -224,37 +207,29 @@ object StorageConfig {
     }
   }
 
-  private def applyMerge(nodes: Vector[Node], i: Int, j: Int, merged: Node): Vector[Node] = {
-    // keep the golden root: if one of the merged nodes was the knob-wise-max
-    // golden and the merged fidelity equals it, the merged node inherits root
-    // duty naturally (same fidelity).
+  private def applyMerge(nodes: Vector[Node], i: Int, j: Int, merged: Node): Vector[Node] =
     nodes.zipWithIndex.collect { case (n, k) if k != i && k != j => n } :+ merged
-  }
 
   /** One coding-tuning move for the ingest budget: among all nodes, step one
     * node's coding to the next-cheaper (faster) option — speed-step first,
     * then RAW as the last resort — choosing the node where the move costs
     * the least extra storage per core saved. Cheaper coding decodes faster,
     * so retrieval adequacy is preserved by construction (checked anyway for
-    * the RAW jump).
+    * the RAW jump). `admit` filters the tuned formats.
     */
   def bestCodingTune(profiler: Profiler, nodes: Vector[Node],
                      demandOf: Map[ConsumptionFormat, Demand],
-                     rawForbidden: Fidelity => Boolean = _ => false): Option[(Int, Node)] = {
+                     admit: StorageFormat => Boolean): Option[(Int, Node)] = {
     val moves = nodes.zipWithIndex.flatMap { case (n, idx) =>
       nextCheaperCoding(n.sf.coding)
-        .filter(c2 => !c2.isRaw || !rawForbidden(n.sf.fidelity))
-        .flatMap { c2 =>
-        val sf2 = StorageFormat(n.sf.fidelity, c2)
-        val demands = n.cfs.toSeq.map(demandOf)
-        if (!demands.forall(d => retrievalOk(profiler, sf2, d))) None
-        else {
+        .map(StorageFormat(n.sf.fidelity, _))
+        .filter(sf2 => admit(sf2) && n.cfs.forall(cf => retrievalOk(profiler, sf2, demandOf(cf))))
+        .flatMap { sf2 =>
           val dIngest = profiler.profileSf(n.sf).ingestCores - profiler.profileSf(sf2).ingestCores
           val dStorage = profiler.profileSf(sf2).bytesPerSec - profiler.profileSf(n.sf).bytesPerSec
           if (dIngest <= 0) None
           else Some((idx, Node(sf2, n.cfs), dStorage / dIngest))
         }
-      }
     }
     if (moves.isEmpty) None
     else {
@@ -282,11 +257,9 @@ object StorageConfig {
     */
   def deriveExhaustive(profiler: Profiler, consumers: Seq[(Consumer, ConsumptionFormat, Double)])
   : Result = {
-    val demandOf: Map[ConsumptionFormat, Demand] =
-      consumers.groupBy(_._2).map { case (cf, cs) =>
-        cf -> cappedDemand(profiler, cf, cs.map(_._3).max)
-      }
-    val cfs = demandOf.keys.toVector.sortBy(_.toString)
+    val ds = demands(profiler, consumers)
+    val demandOf = ds.map(d => d.cf -> d).toMap
+    val cfs = ds.map(_.cf)
     val goldenSf = Formats.golden(cfs)
     // The golden format always exists (erosion root); serving a block of CFs
     // *from* it is a legal configuration. Model it as a phantom partition

@@ -22,7 +22,9 @@ object VStoreConfigurator {
   ) {
     /** CF of one consumer. */
     def cfOf(c: Consumer): Fidelity =
-      derived.find(_.consumer == c).get.fidelity
+      derived.find(_.consumer == c)
+        .getOrElse(throw new NoSuchElementException(s"consumer $c is not in this configuration"))
+        .fidelity
 
     /** The storage format a consumer's CF subscribes to. */
     def sfOf(c: Consumer): StorageFormat =
@@ -33,7 +35,8 @@ object VStoreConfigurator {
 
     def sfs: Vector[StorageFormat] = storage.sfs
 
-    def golden: StorageFormat = Formats.golden(uniqueCfs)
+    /** The stored golden format: the root of the richer-than tree. */
+    def golden: StorageFormat = storage.root
   }
 
   /** Profiling videos per engine (§6.1: query A's operators are profiled on
@@ -56,19 +59,20 @@ object VStoreConfigurator {
 
     // 2) storage formats — a unified set for all operators/videos; the SF
     // profiler uses jackson (size model scale cancels out of the choices)
-    val sfProfiler = profA
-    val triples = derived.map(d =>
-      (d.consumer, ConsumptionFormat(d.fidelity), d.consumptionSpeed))
-    val storage = StorageConfig.derive(sfProfiler, triples, ingestBudgetCores)
+    val storage = StorageConfig.derive(profA, storageInputs(derived), ingestBudgetCores)
 
     Configuration(derived, storage, profA, profB)
   }
+
+  /** The §4.3 input: (consumer, CF, consumption speed) per consumer. */
+  def storageInputs(derived: Seq[ConsumptionConfig.Derived]): Vector[(Consumer, ConsumptionFormat, Double)] =
+    derived.map(d => (d.consumer, ConsumptionFormat(d.fidelity), d.consumptionSpeed)).toVector
 
   /** Erosion inputs for a configuration: the richer-than tree and the
     * consumer views (consumption + per-format retrieval speeds).
     */
   def erosionInputs(cfg: Configuration): (FormatTree, Vector[Erosion.ErosionConsumer]) = {
-    val tree = Formats.buildTree(cfg.sfs)
+    val tree = Formats.buildTree(cfg.golden, cfg.sfs)
     val consumers = cfg.derived.map { d =>
       val fps = d.fidelity.sampling.fps
       val retr = tree.formats.map(sf => sf -> CodecModel.retrievalSpeed(sf, fps)).toMap

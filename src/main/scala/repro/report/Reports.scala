@@ -16,14 +16,12 @@ import repro.baselines.Alternatives
 object Reports {
 
   /** Stable display labels for a configuration's storage formats: the
-    * golden (knob-wise max) node is "SFg"; the rest are SF1.. in descending
+    * stored golden format is "SFg"; the rest are SF1.. in descending
     * pixel-rate order, mirroring the paper's Table 2.
     */
   def sfLabels(cfg: Configuration): Map[StorageFormat, String] = {
-    val golden = cfg.sfs.find(sf => cfg.sfs.forall(o => sf.fidelity.richerOrEqual(o.fidelity)))
-    val g = golden.getOrElse(cfg.sfs.maxBy(_.fidelity.pixelRate))
-    val rest = cfg.sfs.filterNot(_ == g).sortBy(-_.fidelity.pixelRate)
-    (Map(g -> "SFg") ++ rest.zipWithIndex.map { case (sf, i) => sf -> s"SF${i + 1}" })
+    val rest = cfg.sfs.filterNot(_ == cfg.golden).sortBy(-_.fidelity.pixelRate)
+    Map(cfg.golden -> "SFg") ++ rest.zipWithIndex.map { case (sf, i) => sf -> s"SF${i + 1}" }
   }
 
   // ----- Table 2 ----------------------------------------------------------
@@ -79,6 +77,10 @@ object Reports {
   final case class Table3Row(budgetCores: Option[Double], ingestCores: Double,
                              storageMBPerSec: Double, storageGBPerDay: Double,
                              nSfs: Int, codings: Vector[(String, String)])
+
+  /** Table 3's ingest budgets in cores per stream (None: unconstrained). */
+  val table3Budgets: Seq[Option[Double]] =
+    Seq(None, Some(10), Some(8), Some(4), Some(3), Some(2), Some(1), Some(0.5), Some(0.15))
 
   /** Ingest-budget sweep on the profiling video (jackson), as Table 3. */
   def table3(budgets: Seq[Option[Double]]): Vector[Table3Row] =
@@ -147,6 +149,15 @@ object Reports {
                                speeds: Vector[Double], // per age
                                perAgeBytes: Vector[Double],
                                retention: Vector[Map[String, Double]]) // per age: label -> kept fraction
+
+  /** Fig 12's lifespan, and its storage budgets: fractions of the intact
+    * footprint over that lifespan, like the paper's 5/4/3/2 TB.
+    */
+  val fig12LifespanDays = 10
+  def fig12Budgets(cfg: Configuration): Seq[Double] = {
+    val intact = VStoreConfigurator.bytesPerDay(cfg, VideoProfile.jackson).values.sum * fig12LifespanDays
+    Seq(1.1, 0.8, 0.6, 0.4).map(_ * intact)
+  }
 
   def fig12(cfg: Configuration, lifespanDays: Int, budgetsBytes: Seq[Double]): Vector[Fig12Result] = {
     val (tree, consumers) = VStoreConfigurator.erosionInputs(cfg)

@@ -36,7 +36,7 @@ object Formats {
 
   /** Richer-than tree over storage formats: each non-root node's parent is
     * the *least richer* format among those strictly richer than it (ties
-    * broken by smaller pixel-rate then toString). Root must be richer-or-
+    * broken by smaller pixel-rate then toString). The root is richer-or-
     * equal to every other format — the golden format by construction.
     * Consumers fall back from a child to its parent when the child's
     * segments are eroded (§4.4).
@@ -53,21 +53,19 @@ object Formats {
       }
   }
 
-  /** Build the richer-than tree; requires a unique maximal element (the
-    * golden format guarantees one).
+  /** Build the richer-than tree under `root`, which must be richer-or-equal
+    * to every format (the stored golden format is).
     */
-  def buildTree(sfs: Seq[StorageFormat]): FormatTree = {
-    require(sfs.nonEmpty)
-    val distinct = sfs.distinct.toVector
-    val roots = distinct.filter(r => distinct.forall(o => r.fidelity.richerOrEqual(o.fidelity)))
-    require(roots.nonEmpty,
-      s"no root: no format is richer-or-equal to all others among $distinct — add a golden format")
-    val root = roots.minBy(_.toString)
+  def buildTree(root: StorageFormat, sfs: Seq[StorageFormat]): FormatTree = {
+    val distinct = (root +: sfs).distinct.toVector
+    require(distinct.forall(o => root.fidelity.richerOrEqual(o.fidelity)),
+      s"root $root is not richer-or-equal to every format among $distinct")
     val parentMap = distinct.filterNot(_ == root).map { sf =>
       // Strictly-richer candidates only, except that equal-fidelity formats
-      // are ordered by name so ties cannot form a parent cycle.
+      // are ordered by name so ties cannot form a parent cycle; the root
+      // itself is always a candidate.
       val candidates = distinct.filter(o =>
-        o != sf && (o.fidelity.richerThan(sf.fidelity) ||
+        o != sf && (o == root || o.fidelity.richerThan(sf.fidelity) ||
           (o.fidelity == sf.fidelity && o.toString < sf.toString)))
       // least richer candidate: minimal pixel rate, then name for determinism
       val p = candidates.minBy(c => (c.fidelity.pixelRate, c.toString))

@@ -1,73 +1,59 @@
 package repro
 
 import org.apache.spark.sql.functions._
+import repro.video.{SynthVideo, VideoProfile}
 
-/** The provided DuckDB oracle and TPC-H-lite generators, exercised directly:
-  * they back every result-correctness check in the reproduction.
+/** The provided DuckDB oracle, exercised directly on synthetic frame tables:
+  * it backs every result-correctness check in the reproduction.
   */
 class OracleSpec extends SparkSpec {
 
-  private lazy val li = SynthData.lineitem(spark, sf = 0.002).cache()
-
-  test("lineitem generator is deterministic in (sf, seed)") {
-    val a = SynthData.lineitem(spark, 0.001).agg(sum("l_orderkey")).collect().head.getLong(0)
-    val b = SynthData.lineitem(spark, 0.001).agg(sum("l_orderkey")).collect().head.getLong(0)
-    assert(a === b)
-  }
+  // 80 s of jackson: 10 segments of 240 frames
+  private lazy val frames = SynthVideo.frames(spark, VideoProfile.jackson, 80).cache()
 
   test("oracle accepts a matching aggregation") {
-    val agg = li.groupBy("l_returnflag")
-      .agg(count(lit(1)) as "n", round(sum("l_quantity"), 2) as "qty")
+    val agg = frames.groupBy("segId")
+      .agg(count(lit(1)) as "n", round(sum("difficulty"), 2) as "d")
     Oracle.assertEquivalent(
       agg,
-      "SELECT l_returnflag, count(1) AS n, " +
-        "round(sum(CAST(l_quantity AS DOUBLE)), 2) AS qty " +
-        "FROM lineitem GROUP BY l_returnflag",
-      "lineitem" -> li.select("l_returnflag", "l_quantity"))
+      "SELECT segId, count(1) AS n, " +
+        "round(sum(CAST(difficulty AS DOUBLE)), 2) AS d " +
+        "FROM frames GROUP BY segId",
+      "frames" -> frames.select("segId", "difficulty"))
   }
 
   test("oracle rejects a wrong result") {
-    val wrong = li.groupBy("l_returnflag")
+    val wrong = frames.groupBy("segId")
       .agg((count(lit(1)) + 1) as "n") // off by one
     assertThrows[IllegalArgumentException] {
       Oracle.assertEquivalent(
         wrong,
-        "SELECT l_returnflag, count(1) AS n FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li.select("l_returnflag"))
+        "SELECT segId, count(1) AS n FROM frames GROUP BY segId",
+        "frames" -> frames.select("segId"))
     }
   }
 
   test("oracle rejects mismatched column sets") {
-    val agg = li.groupBy("l_returnflag").agg(count(lit(1)) as "m")
+    val agg = frames.groupBy("segId").agg(count(lit(1)) as "m")
     assertThrows[IllegalArgumentException] {
       Oracle.assertEquivalent(
         agg,
-        "SELECT l_returnflag, count(1) AS n FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li.select("l_returnflag"))
+        "SELECT segId, count(1) AS n FROM frames GROUP BY segId",
+        "frames" -> frames.select("segId"))
     }
   }
 
-  test("join between orders and customer agrees with DuckDB") {
-    val o = SynthData.orders(spark, 0.002)
-    val c = SynthData.customer(spark, 0.002)
-    val j = o.join(c, o("o_custkey") === c("c_custkey"))
-      .groupBy("c_mktsegment").agg(count(lit(1)) as "n")
+  test("join between two videos' frame tables agrees with DuckDB") {
+    val a = frames.select(col("frame"), col("isEvent") as "aEvent")
+    val b = SynthVideo.frames(spark, VideoProfile.dashcam, 80)
+      .select(col("frame") as "bFrame", col("isEvent") as "bEvent")
+    val j = a.join(b, a("frame") === b("bFrame"))
+      .groupBy("aEvent", "bEvent").agg(count(lit(1)) as "n")
     Oracle.assertEquivalent(
       j,
-      "SELECT c_mktsegment, count(1) AS n FROM orders o " +
-        "JOIN customer c ON CAST(o.o_custkey AS BIGINT) = CAST(c.c_custkey AS BIGINT) " +
-        "GROUP BY c_mktsegment",
-      "orders" -> o.select("o_custkey"), "customer" -> c.select("c_custkey", "c_mktsegment"))
-  }
-
-  test("zipf keys are skewed; uniform keys are not") {
-    val z = SynthData.zipfKeys(spark, 20000, 1000)
-    val u = SynthData.uniformKeys(spark, 20000, 1000)
-    def topShare(df: org.apache.spark.sql.DataFrame): Double = {
-      val top = df.groupBy("k").count().orderBy(desc("count")).limit(1)
-        .collect().head.getLong(1)
-      top.toDouble / 20000
-    }
-    assert(topShare(z) > 5 * topShare(u), s"zipf=${topShare(z)} uniform=${topShare(u)}")
+      "SELECT aEvent, bEvent, count(1) AS n FROM a " +
+        "JOIN b ON CAST(a.frame AS BIGINT) = CAST(b.bFrame AS BIGINT) " +
+        "GROUP BY aEvent, bEvent",
+      "a" -> a, "b" -> b)
   }
 }

@@ -32,7 +32,14 @@ class ConfiguratorSpec extends AnyFunSuite {
   }
 
   test("the golden format is in the derived SF set") {
-    assert(cfg.sfs.exists(sf => sf.fidelity == cfg.golden.fidelity))
+    assert(cfg.sfs.contains(cfg.golden))
+  }
+
+  test("cfOf on an unknown consumer fails naming the consumer") {
+    val sub = VStoreConfigurator.derive(Seq(Consumer(OperatorModel.NN, 0.9)))
+    val unknown = Consumer(OperatorModel.Motion, 0.7)
+    val e = intercept[NoSuchElementException](sub.cfOf(unknown))
+    assert(e.getMessage.contains(unknown.toString), e.getMessage)
   }
 
   test("the configuration has >100 knob settings (Table 2: 124 knobs)") {
@@ -71,7 +78,7 @@ class ConfiguratorSpec extends AnyFunSuite {
 
   test("erosion tree roots at the golden format") {
     val (tree, _) = VStoreConfigurator.erosionInputs(cfg)
-    assert(tree.root.fidelity === cfg.golden.fidelity)
+    assert(tree.root === cfg.golden)
   }
 
   test("bytesPerDay scales storage bytes to a day") {

@@ -73,6 +73,19 @@ class ConsumptionConfigSpec extends AnyFunSuite {
     }
   }
 
+  test("boundary candidates equal the brute-force minimal adequate sampling per resolution") {
+    val targets = (1 to 44).map(_ / 45.0)
+    for (op <- OperatorModel.all; crop <- CropFactor.all; t <- targets) {
+      val v = VStoreConfigurator.profilingVideo(op)
+      val expected = Resolution.ten.sortBy(-_.height).flatMap { r =>
+        FrameSampling.all.map(Fidelity(ImageQuality.Best, crop, r, _))
+          .find(op.accuracy(_, v) >= t)
+      }
+      val got = ConsumptionConfig.boundaryCandidates(profilerFor(op), op, t, ImageQuality.Best, crop)
+      assert(got === expected, s"${op.name} $crop target=$t")
+    }
+  }
+
   test("boundary candidates cover at most one point per resolution") {
     val op = OperatorModel.NN
     val p = profilerFor(op)

@@ -20,7 +20,7 @@ class ErosionSpec extends AnyFunSuite {
     Encoded(SpeedStep.Fast, KeyframeInterval(10)))
   private val raw = StorageFormat(
     Fidelity(ImageQuality.Best, CropFactor.C100, res(200), FrameSampling.S1), Raw)
-  private val tree = Formats.buildTree(Seq(golden, mid, raw))
+  private val tree = Formats.buildTree(golden, Seq(mid, raw))
 
   private def consumer(name: String, sub: StorageFormat, cons: Double,
                        retr: Map[StorageFormat, Double]) =

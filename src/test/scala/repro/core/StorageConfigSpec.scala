@@ -18,10 +18,8 @@ class StorageConfigSpec extends AnyFunSuite {
   /** Consumers of query B at all accuracies — the paper's own exhaustive-
     * validation subset (we shrink further for Bell-number growth).
     */
-  private def triplesFor(consumers: Seq[Consumer]) = {
-    val cfg = VStoreConfigurator.derive(consumers)
-    cfg.derived.map(d => (d.consumer, ConsumptionFormat(d.fidelity), d.consumptionSpeed))
-  }
+  private def triplesFor(consumers: Seq[Consumer]) =
+    VStoreConfigurator.storageInputs(VStoreConfigurator.derive(consumers).derived)
 
   private lazy val fullCfg = VStoreConfigurator.derive()
 
@@ -122,6 +120,21 @@ class StorageConfigSpec extends AnyFunSuite {
     assert(merged.cfs === Set(da.cf, db.cf))
   }
 
+  test("coalescePair takes the smallest coding the admit filter accepts") {
+    val p = profiler()
+    val f = Fidelity.full.copy(sampling = FrameSampling.S1_30)
+    val d = StorageConfig.Demand(ConsumptionFormat(f), 10.0)
+    val node = StorageConfig.Node(StorageFormat(f, Raw), Set(d.cf))
+    def merge(admit: StorageFormat => Boolean) =
+      StorageConfig.coalescePair(p, node, node, Map(d.cf -> d), admit)
+    val free = merge(_ => true).get.sf
+    val next = merge(_ != free).get.sf
+    assert(next.fidelity === f)
+    assert(next != free)
+    assert(p.profileSf(next).bytesPerSec >= p.profileSf(free).bytesPerSec)
+    assert(merge(_ => false).isEmpty)
+  }
+
   test("greedy equals exhaustive enumeration on a small CF set (§6.4)") {
     // 8 consumers -> <= 8 CFs; Bell(8) = 4140 partitions is tractable
     val consumers = for {
@@ -142,8 +155,7 @@ class StorageConfigSpec extends AnyFunSuite {
 
   test("greedy profiles a small fraction of the 15K format space (§6.4)") {
     val p = profiler()
-    val triples = fullCfg.derived.map(d =>
-      (d.consumer, ConsumptionFormat(d.fidelity), d.consumptionSpeed))
+    val triples = VStoreConfigurator.storageInputs(fullCfg.derived)
     StorageConfig.derive(p, triples)
     assert(p.sfRuns < 1500, s"${p.sfRuns} profiled")
     assert(p.sfRuns.toDouble / (Fidelity.space.size * Coding.space.size) < 0.1)
@@ -151,8 +163,7 @@ class StorageConfigSpec extends AnyFunSuite {
 
   test("memoization hit rate during coalescing is high (§6.4: 92%)") {
     val p = profiler()
-    val triples = fullCfg.derived.map(d =>
-      (d.consumer, ConsumptionFormat(d.fidelity), d.consumptionSpeed))
+    val triples = VStoreConfigurator.storageInputs(fullCfg.derived)
     StorageConfig.derive(p, triples)
     val hitRate = 1.0 - p.sfRuns.toDouble / p.sfExamined
     assert(hitRate > 0.5, s"hit rate $hitRate (${p.sfRuns}/${p.sfExamined})")
@@ -217,9 +228,7 @@ class StorageConfigSpec extends AnyFunSuite {
   test("initialNodes has one SF per CF plus the golden") {
     val p = profiler()
     val triples = triplesFor(Seq(Consumer(OperatorModel.NN, 0.9), Consumer(OperatorModel.NN, 0.8)))
-    val demands = triples.groupBy(_._2).map { case (cf, ts) =>
-      StorageConfig.Demand(cf, ts.map(_._3).max)
-    }.toSeq
+    val demands = StorageConfig.demands(p, triples)
     val nodes = StorageConfig.initialNodes(p, demands)
     assert(nodes.size === demands.size + 1)
     assert(nodes.count(_.cfs.isEmpty) === 1) // the golden node

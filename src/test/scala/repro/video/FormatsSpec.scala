@@ -47,8 +47,9 @@ class FormatsSpec extends AnyFunSuite {
       StorageFormat(high, Coding.slowestSmallest),
       StorageFormat(mid, Raw),
       StorageFormat(low, Raw))
-    val t = buildTree(sfs)
+    val t = buildTree(sfs.head, sfs)
     assert(t.root.fidelity === high)
+    assert(t.formats.toSet === sfs.toSet)
   }
 
   test("buildTree parents are strictly richer (or name-ordered equals)") {
@@ -57,7 +58,7 @@ class FormatsSpec extends AnyFunSuite {
       StorageFormat(mid, Raw),
       StorageFormat(low, Raw),
       StorageFormat(fid(ImageQuality.Best, CropFactor.C100, 200, FrameSampling.S1), Raw))
-    val t = buildTree(sfs)
+    val t = buildTree(sfs.head, sfs)
     t.parent.foreach { case (c, p) =>
       assert(p.fidelity.richerOrEqual(c.fidelity), s"$p !>= $c")
     }
@@ -68,7 +69,7 @@ class FormatsSpec extends AnyFunSuite {
       StorageFormat(high, Coding.slowestSmallest),
       StorageFormat(mid, Raw),
       StorageFormat(low, Raw))
-    val t = buildTree(sfs)
+    val t = buildTree(sfs.head, sfs)
     sfs.foreach { sf =>
       val chain = t.ancestors(sf)
       if (sf == t.root) assert(chain.isEmpty)
@@ -80,7 +81,7 @@ class FormatsSpec extends AnyFunSuite {
     val a = StorageFormat(high, Coding.slowestSmallest)
     val b = StorageFormat(mid, Raw)
     val c = StorageFormat(low, Raw)
-    val t = buildTree(Seq(a, b, c))
+    val t = buildTree(a, Seq(a, b, c))
     // low is coverable by both mid and high; mid has smaller pixel rate
     assert(t.parent(c) === b)
     assert(t.parent(b) === a)
@@ -90,11 +91,12 @@ class FormatsSpec extends AnyFunSuite {
     // two incomparable formats, no golden
     val x = StorageFormat(fid(ImageQuality.Best, CropFactor.C50, 720, FrameSampling.S1_30), Raw)
     val y = StorageFormat(fid(ImageQuality.Bad, CropFactor.C100, 144, FrameSampling.S1), Raw)
-    assertThrows[IllegalArgumentException](buildTree(Seq(x, y)))
+    assertThrows[IllegalArgumentException](buildTree(x, Seq(x, y)))
+    assertThrows[IllegalArgumentException](buildTree(y, Seq(x, y)))
   }
 
   test("buildTree on a single format yields a bare root") {
-    val t = buildTree(Seq(StorageFormat(high, Raw)))
+    val t = buildTree(StorageFormat(high, Raw), Nil)
     assert(t.formats.size === 1 && t.parent.isEmpty)
   }
 
@@ -102,10 +104,18 @@ class FormatsSpec extends AnyFunSuite {
     val a = StorageFormat(mid, Raw)
     val b = StorageFormat(mid, Coding.slowestSmallest)
     val g = StorageFormat(high, Coding.slowestSmallest)
-    val t = buildTree(Seq(a, b, g))
+    val t = buildTree(g, Seq(a, b, g))
     // walking ancestors from both must terminate
     assert(t.ancestors(a).last === t.root)
     assert(t.ancestors(b).last === t.root)
+  }
+
+  test("buildTree hangs an equal-fidelity format under the given root") {
+    // the root's name sorts after its twin's, so only the root rule applies
+    val root = StorageFormat(high, Raw)
+    val twin = StorageFormat(high, Coding.slowestSmallest)
+    val t = buildTree(root, Seq(twin))
+    assert(t.parent(twin) === root)
   }
 
   test("children is the inverse of parent") {
@@ -113,7 +123,7 @@ class FormatsSpec extends AnyFunSuite {
       StorageFormat(high, Coding.slowestSmallest),
       StorageFormat(mid, Raw),
       StorageFormat(low, Raw))
-    val t = buildTree(sfs)
+    val t = buildTree(sfs.head, sfs)
     t.parent.foreach { case (c, p) => assert(t.children(p).contains(c)) }
   }
 }

@@ -85,7 +85,7 @@ object ModelProperties extends Properties("VideoModels") {
     Prop.forAll(Gen.nonEmptyListOf(genFidelity)) { fs =>
       val sfs = fs.distinct.map(StorageFormat(_, Raw))
       val g = Formats.golden(fs.map(ConsumptionFormat(_)))
-      val t = Formats.buildTree(sfs :+ g)
+      val t = Formats.buildTree(g, sfs)
       sfs.forall(sf => t.ancestors(sf).lastOption.forall(_ == t.root))
     }
 }
