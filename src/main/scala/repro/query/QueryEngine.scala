@@ -1,7 +1,6 @@
 package repro.query
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.video.Knobs._
 import repro.video.Formats._
 import repro.video.{CodecModel, SynthVideo, VideoProfile}
@@ -13,11 +12,14 @@ import repro.store.SegmentStore.Frame
   * Two layers:
   *  - [[analyticStageSpeed]] / [[analyticQuerySpeed]] — closed-form speeds
   *    from the cost models (what the configurator reasons about);
-  *  - [[runCascade]] — an executable Spark job: frames are partitioned per
-  *    segment and a `mapPartitions` pass per stage decodes (simulated decode
-  *    cost), samples frames at the consumption format's rate, runs the
-  *    per-frame detector, and emits per-segment counters. F1 and speeds are
-  *    aggregated with DataFrame aggregations (oracle-checked in tests).
+  *  - [[runCascade]] — the executed cascade, one pass over the frames: a
+  *    single `mapPartitions` streams each frame once through every stage,
+  *    sampling it at the stage's consumption rate and running the per-frame
+  *    detector, and emits one row of counters per partition (frames, and
+  *    each stage's sampled/tp/fn). The driver sums those rows and derives
+  *    decode time (simulated), operator time, F1 and speeds from the totals.
+  *    Every total is a plain sum over frames, so the result does not depend
+  *    on how frames fall across partitions (oracle-checked in tests).
   *
   * Speed metric: video duration / processing delay, in multiples of
   * realtime; retrieval and consumption are pipelined, so a stage's speed is
@@ -53,77 +55,72 @@ object QueryEngine {
     1.0 / timePerVideoSec
   }
 
-  /** Per-stage, per-segment execution record from the Spark run. */
-  final case class StageSegment(video: String, segId: Long, opName: String,
-                                sampled: Long, tp: Long, fn: Long, fp: Long,
-                                decodeSec: Double, opSec: Double)
-
   /** Aggregated result of one cascade run. */
   final case class CascadeResult(perOp: Map[String, OpResult], querySpeed: Double)
+  /** One stage's totals; `fp` is always 0 (the detector has precision 1). */
   final case class OpResult(f1: Double, sampled: Long, tp: Long, fn: Long, fp: Long,
                             decodeSec: Double, opSec: Double, stageSpeed: Double)
 
   /** Execute a cascade over `frames` (ingest-format frame table of one
-    * video). Each stage runs as a mapPartitions pass over segment-partitioned
-    * frames; stage i only charges time for the fraction of segments that
-    * survived earlier stages (modelled by scaling with the cumulative
-    * selectivity, as segment-level early exit).
+    * video) in one Spark job. Stage i charges time only for the fraction of
+    * video that survived stages 0..i-1 (the cumulative selectivity, as
+    * segment-level early exit).
     */
   def runCascade(spark: SparkSession, frames: DataFrame, video: VideoProfile,
                  stages: Seq[Stage]): CascadeResult = {
+    require(stages.nonEmpty, "runCascade: the cascade has no stages")
+    val names = stages.map(_.op.name)
+    val repeated = names.diff(names.distinct).distinct
+    require(repeated.isEmpty, s"runCascade: operator ${repeated.mkString(", ")} " +
+      "appears in more than one stage, but per-op results are keyed by operator name")
     import spark.implicits._
-    val ds = frames.as[Frame].repartition(col("video"), col("segId"))
-    val videoSec = frames.count().toDouble / SynthVideo.Fps
+    val n = stages.size
+    val everyN = stages.map(st =>
+      math.max(1, math.round(SynthVideo.Fps / st.cf.sampling.fps).toInt)).toArray
+    val detectProb = stages.map(st => st.op.detectProb(st.cf, video)).toArray
+    val salt = stages.map(st => s"detect-${st.op.name}").toArray
 
-    var fraction = 1.0
-    val opResults = Map.newBuilder[String, OpResult]
-    var totalTimePerVideoSec = 0.0
-
-    stages.foreach { stage =>
-      val op = stage.op
-      val cf = stage.cf
-      val sf = stage.sf
-      val prof = video
-      val frac = fraction
-
-      val everyN = math.max(1, math.round(SynthVideo.Fps / cf.sampling.fps).toInt)
-      val segRows: Dataset[StageSegment] = ds.mapPartitions { it =>
-        it.toSeq.groupBy(f => (f.video, f.segId)).iterator.map { case ((v, seg), fs) =>
-          val segSec = fs.size.toDouble / SynthVideo.Fps
-          // decode/retrieve this segment at the CF's sampling rate
-          val decodeSec = segSec / CodecModel.retrievalSpeed(sf, cf.sampling.fps)
-          val sampled = fs.filter(_.frameIdx % everyN == 0)
-          val opSec = sampled.size * op.perFrameSec(cf.pixelsPerFrame)
-          val p = op.detectProb(cf, prof)
-          var tp = 0L; var fn = 0L
-          sampled.foreach { f =>
+    // c(0) counts frames; c(1 + 3i), c(2 + 3i), c(3 + 3i) are stage i's
+    // sampled frames, true positives and false negatives
+    val counters = frames.as[Frame].mapPartitions { it =>
+      val c = new Array[Long](1 + 3 * n)
+      it.foreach { f =>
+        c(0) += 1
+        var i = 0
+        while (i < n) {
+          if (f.frameIdx % everyN(i) == 0) {
+            c(1 + 3 * i) += 1
             if (f.isEvent) {
-              val u = SynthVideo.u01Scala(v, f.frame, s"detect-${op.name}")
-              if (u < p) tp += 1 else fn += 1
+              val hit = SynthVideo.u01Scala(f.video, f.frame, salt(i)) < detectProb(i)
+              c((if (hit) 2 else 3) + 3 * i) += 1
             }
           }
-          StageSegment(v, seg, op.name, sampled.size.toLong, tp, fn, 0L, decodeSec, opSec)
+          i += 1
         }
       }
+      Iterator.single(c)
+    }.collect().foldLeft(new Array[Long](1 + 3 * n)) { (sum, c) =>
+      c.indices.foreach(j => sum(j) += c(j)); sum
+    }
+    require(counters(0) > 0, "runCascade: the frame table is empty")
 
-      val agg = segRows.groupBy("opName").agg(
-        sum("sampled") as "sampled", sum("tp") as "tp", sum("fn") as "fn",
-        sum("fp") as "fp", sum("decodeSec") as "decodeSec", sum("opSec") as "opSec",
-      ).collect().head
-
-      val (sampled, tp, fn, fp) = (agg.getLong(1), agg.getLong(2), agg.getLong(3), agg.getLong(4))
-      val (decodeSec, opSec) = (agg.getDouble(5), agg.getDouble(6))
-      val f1 = if (tp == 0) 0.0 else 2.0 * tp / (2.0 * tp + fn + fp)
+    val videoSec = counters(0).toDouble / SynthVideo.Fps
+    var fraction = 1.0
+    var timePerVideoSec = 0.0
+    val perOp = stages.zipWithIndex.map { case (st, i) =>
+      val (sampled, tp, fn) = (counters(1 + 3 * i), counters(2 + 3 * i), counters(3 + 3 * i))
+      // decode/retrieve the whole video at the CF's sampling rate
+      val decodeSec = videoSec / CodecModel.retrievalSpeed(st.sf, st.cf.sampling.fps)
+      val opSec = sampled * st.op.perFrameSec(st.cf.pixelsPerFrame)
+      val f1 = if (tp == 0) 0.0 else 2.0 * tp / (2.0 * tp + fn)
       // pipelined: the stage's wall time is the max of decode and op time,
       // over the fraction of video it actually scans
-      val stageWall = math.max(decodeSec, opSec) * frac
-      val stageSpeed = videoSec / math.max(decodeSec, opSec)
-      totalTimePerVideoSec += stageWall / videoSec
-      opResults += op.name -> OpResult(f1, sampled, tp, fn, fp, decodeSec, opSec, stageSpeed)
-      fraction *= op.selectivity
-    }
-
-    CascadeResult(opResults.result(), 1.0 / totalTimePerVideoSec)
+      val stageSec = math.max(decodeSec, opSec)
+      timePerVideoSec += stageSec * fraction / videoSec
+      fraction *= st.op.selectivity
+      st.op.name -> OpResult(f1, sampled, tp, fn, 0L, decodeSec, opSec, videoSec / stageSec)
+    }.toMap
+    CascadeResult(perOp, 1.0 / timePerVideoSec)
   }
 
   /** Build the stages of a cascade from a consumer->CF and CF->SF mapping. */

@@ -1,5 +1,8 @@
 package repro.query
 
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+import org.apache.spark.ListenerBusAccess
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.video.Knobs._
@@ -123,28 +126,126 @@ class QueryEngineSpec extends SparkSpec {
     assert(math.abs(r.opSec - expect) / expect < 1e-6)
   }
 
-  test("per-segment counters aggregate correctly vs DuckDB oracle") {
+  test("stage counters agree with a DuckDB oracle over the frame table") {
     import spark.implicits._
-    val st = stage(OperatorModel.Motion, 0.9)
-    // re-derive the per-segment rows exactly as runCascade does, then check
-    // the F1 aggregation SQL against DuckDB
-    val everyN = math.max(1, math.round(SynthVideo.Fps / st.cf.sampling.fps).toInt)
-    val p = OperatorModel.Motion.detectProb(st.cf, video)
-    val det = frames.as[repro.store.SegmentStore.Frame]
-      .filter(f => f.frameIdx % everyN == 0)
-      .map { f =>
-        val detected = f.isEvent &&
-          SynthVideo.u01Scala(f.video, f.frame, "detect-Motion") < p
-        (f.segId, f.isEvent, detected)
-      }.toDF("segId", "isEvent", "detected")
-      .withColumn("tp", when(col("isEvent") && col("detected"), 1).otherwise(0))
-      .withColumn("fn", when(col("isEvent") && !col("detected"), 1).otherwise(0))
-    val agg = det.groupBy("segId").agg(sum("tp") as "tp", sum("fn") as "fn")
-    repro.Oracle.assertEquivalent(
-      agg,
-      "SELECT segId, sum(CAST(tp AS INT)) AS tp, sum(CAST(fn AS INT)) AS fn " +
-        "FROM det GROUP BY segId",
-      "det" -> det.select("segId", "tp", "fn"))
+    val stages = QueryEngine.stagesFor(OperatorModel.queryB, 0.8,
+      c => cfg.cfOf(c), c => cfg.sfOf(c))
+    val res = QueryEngine.runCascade(spark, frames, video, stages)
+    val got = stages.map { st =>
+      val r = res.perOp(st.op.name)
+      (st.op.name, r.sampled, r.tp, r.fn)
+    }.toDF("op", "sampled", "tp", "fn")
+    // the frame table plus one detection column per stage; DuckDB does the
+    // sampling and the counting
+    val probs = stages.map(st => st.op.detectProb(st.cf, video))
+    val salts = stages.map(st => s"detect-${st.op.name}")
+    val det = frames.as[repro.store.SegmentStore.Frame].map { f =>
+      val d = salts.zip(probs).map { case (salt, p) => SynthVideo.u01Scala(f.video, f.frame, salt) < p }
+      (f.frameIdx, f.isEvent, d(0), d(1), d(2))
+    }.toDF("frameIdx", "isEvent", "d0", "d1", "d2")
+    val sql = stages.zipWithIndex.map { case (st, i) =>
+      val everyN = math.max(1, math.round(SynthVideo.Fps / st.cf.sampling.fps).toInt)
+      val sampled = s"CAST(frameIdx AS INT) % $everyN = 0"
+      val event = "CAST(isEvent AS BOOLEAN)"
+      val hit = s"CAST(d$i AS BOOLEAN)"
+      s"SELECT '${st.op.name}' AS op, " +
+        s"sum(CASE WHEN $sampled THEN 1 ELSE 0 END) AS sampled, " +
+        s"sum(CASE WHEN $sampled AND $event AND $hit THEN 1 ELSE 0 END) AS tp, " +
+        s"sum(CASE WHEN $sampled AND $event AND NOT $hit THEN 1 ELSE 0 END) AS fn FROM det"
+    }.mkString(" UNION ALL ")
+    repro.Oracle.assertEquivalent(got, sql, "det" -> det)
+  }
+
+  test("an empty frame table fails with a clear error") {
+    val e = intercept[IllegalArgumentException] {
+      QueryEngine.runCascade(spark, frames.filter(lit(false)), video,
+        Seq(stage(OperatorModel.Motion, 0.9)))
+    }
+    assert(e.getMessage.contains("frame table is empty"), e.getMessage)
+  }
+
+  test("an empty cascade fails with a clear error") {
+    val e = intercept[IllegalArgumentException] {
+      QueryEngine.runCascade(spark, frames, video, Seq.empty)
+    }
+    assert(e.getMessage.contains("no stages"), e.getMessage)
+  }
+
+  test("two stages with the same operator fail with a clear error") {
+    val e = intercept[IllegalArgumentException] {
+      QueryEngine.runCascade(spark, frames, video,
+        Seq(stage(OperatorModel.Motion, 0.9), stage(OperatorModel.Motion, 0.7)))
+    }
+    assert(e.getMessage.contains("Motion appears in more than one stage"), e.getMessage)
+  }
+
+  test("results equal a driver-side reference and do not depend on partitioning") {
+    import spark.implicits._
+    // a 400 s window filtered from a cached 480 s table, as the benchmark
+    // filters its cached streams
+    def rel(a: Double, b: Double) = math.abs(a - b) / math.max(math.abs(b), 1e-300)
+    for ((v, cascade) <- Seq((VideoProfile.jackson, OperatorModel.queryA),
+                             (VideoProfile.dashcam, OperatorModel.queryB))) {
+      val table = SynthVideo.frames(spark, v, durationSec = 480).cache()
+      val window = table.filter(col("segId") < 400 / 8)
+      val all = window.as[repro.store.SegmentStore.Frame].collect()
+      val videoSec = all.length.toDouble / SynthVideo.Fps
+      for (acc <- OperatorModel.accuracyLevels) {
+        val stages = QueryEngine.stagesFor(cascade, acc, c => cfg.cfOf(c), c => cfg.sfOf(c))
+        // reference: one loop per stage over the collected frames
+        var fraction = 1.0
+        var timePerVideoSec = 0.0
+        val expect = stages.map { st =>
+          val everyN = math.max(1, math.round(SynthVideo.Fps / st.cf.sampling.fps).toInt)
+          val p = st.op.detectProb(st.cf, v)
+          val sampled = all.filter(_.frameIdx % everyN == 0)
+          val events = sampled.filter(_.isEvent)
+          val tp = events.count(f => SynthVideo.u01Scala(f.video, f.frame, s"detect-${st.op.name}") < p)
+          val decodeSec = videoSec / CodecModel.retrievalSpeed(st.sf, st.cf.sampling.fps)
+          val opSec = sampled.length * st.op.perFrameSec(st.cf.pixelsPerFrame)
+          timePerVideoSec += fraction * math.max(decodeSec, opSec) / videoSec
+          fraction *= st.op.selectivity
+          st.op.name -> (sampled.length.toLong, tp.toLong, (events.length - tp).toLong,
+            decodeSec, opSec, videoSec / math.max(decodeSec, opSec))
+        }
+        for ((input, layout) <- Seq(window -> "window", window.repartition(7) -> "repartition(7)")) {
+          val res = QueryEngine.runCascade(spark, input, v, stages)
+          val where = s"${v.name}@$acc $layout"
+          assert(rel(res.querySpeed, 1.0 / timePerVideoSec) < 1e-9, where)
+          for ((op, (sampled, tp, fn, decodeSec, opSec, stageSpeed)) <- expect) {
+            val r = res.perOp(op)
+            assert((r.sampled, r.tp, r.fn, r.fp) === ((sampled, tp, fn, 0L)), s"$where $op")
+            assert(rel(r.decodeSec, decodeSec) < 1e-9, s"$where $op decodeSec")
+            assert(rel(r.opSec, opSec) < 1e-9, s"$where $op opSec")
+            assert(rel(r.stageSpeed, stageSpeed) < 1e-9, s"$where $op stageSpeed")
+          }
+        }
+      }
+      table.unpersist()
+    }
+  }
+
+  test("a 3-stage cascade is one Spark job with no shuffle") {
+    val stages = QueryEngine.stagesFor(OperatorModel.queryB, 0.8,
+      c => cfg.cfOf(c), c => cfg.sfOf(c))
+    frames.count() // materialise the cache outside the measured window
+    val sc = spark.sparkContext
+    val jobs = new AtomicInteger
+    val shuffleWriteBytes = new AtomicLong
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        if (e.taskMetrics != null)
+          shuffleWriteBytes.addAndGet(e.taskMetrics.shuffleWriteMetrics.bytesWritten)
+    }
+    ListenerBusAccess.drain(sc)
+    sc.addSparkListener(listener)
+    try {
+      QueryEngine.runCascade(spark, frames, video, stages)
+      ListenerBusAccess.drain(sc)
+    } finally sc.removeSparkListener(listener)
+    assert(jobs.get === 1)
+    assert(shuffleWriteBytes.get === 0L)
   }
 
   test("1->N capping: reading golden caps a fast stage's speed") {
