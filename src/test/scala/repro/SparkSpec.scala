@@ -1,5 +1,8 @@
 package repro
 
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+import org.apache.spark.ListenerBusAccess
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -16,6 +19,26 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Spark jobs started and shuffle bytes written while `body` runs. */
+  def sparkActivity(body: => Unit): (Int, Long) = {
+    val sc = spark.sparkContext
+    val jobs = new AtomicInteger
+    val shuffleWriteBytes = new AtomicLong
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        if (e.taskMetrics != null)
+          shuffleWriteBytes.addAndGet(e.taskMetrics.shuffleWriteMetrics.bytesWritten)
+    }
+    ListenerBusAccess.drain(sc)
+    sc.addSparkListener(listener)
+    try {
+      body
+      ListenerBusAccess.drain(sc)
+    } finally sc.removeSparkListener(listener)
+    (jobs.get, shuffleWriteBytes.get)
+  }
 }
 
 object SparkSpec {

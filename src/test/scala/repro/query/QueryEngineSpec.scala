@@ -1,8 +1,5 @@
 package repro.query
 
-import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
-import org.apache.spark.ListenerBusAccess
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.video.Knobs._
@@ -229,23 +226,7 @@ class QueryEngineSpec extends SparkSpec {
     val stages = QueryEngine.stagesFor(OperatorModel.queryB, 0.8,
       c => cfg.cfOf(c), c => cfg.sfOf(c))
     frames.count() // materialise the cache outside the measured window
-    val sc = spark.sparkContext
-    val jobs = new AtomicInteger
-    val shuffleWriteBytes = new AtomicLong
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
-      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
-        if (e.taskMetrics != null)
-          shuffleWriteBytes.addAndGet(e.taskMetrics.shuffleWriteMetrics.bytesWritten)
-    }
-    ListenerBusAccess.drain(sc)
-    sc.addSparkListener(listener)
-    try {
-      QueryEngine.runCascade(spark, frames, video, stages)
-      ListenerBusAccess.drain(sc)
-    } finally sc.removeSparkListener(listener)
-    assert(jobs.get === 1)
-    assert(shuffleWriteBytes.get === 0L)
+    assert(sparkActivity(QueryEngine.runCascade(spark, frames, video, stages)) === ((1, 0L)))
   }
 
   test("1->N capping: reading golden caps a fast stage's speed") {

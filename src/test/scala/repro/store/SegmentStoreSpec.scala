@@ -1,10 +1,12 @@
 package repro.store
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.video.Knobs._
 import repro.video.Formats._
 import repro.video.{CodecModel, SynthVideo, VideoProfile}
+import repro.store.SegmentStore.{Frame, StoredSegment}
 
 class SegmentStoreSpec extends SparkSpec {
 
@@ -111,5 +113,72 @@ class SegmentStoreSpec extends SparkSpec {
       "SELECT sfId, count(1) AS n, round(sum(CAST(bytes AS DOUBLE)), 3) AS bytes " +
         "FROM stored GROUP BY sfId",
       "stored" -> stored.toDF().select(col("sfId"), col("bytes")))
+  }
+
+  /** The catalog `ingest` must produce, computed on the driver from the
+    * collected frames grouped by (video, segId).
+    */
+  private def referenceIngest(frames: DataFrame, sfs: Seq[StorageFormat],
+                              video: VideoProfile): Seq[StoredSegment] = {
+    import spark.implicits._
+    frames.as[Frame].collect().toSeq.groupBy(f => (f.video, f.segId)).toSeq.flatMap {
+      case ((v, seg), fs) =>
+        val segSec = fs.size.toDouble / SynthVideo.Fps
+        val rel = math.max(0.25, math.min(4.0, fs.map(_.motion).sum / fs.size / video.motionFactor))
+        sfs.zipWithIndex.map { case (sf, i) =>
+          val scale = if (sf.coding.isRaw) 1.0 else rel
+          StoredSegment(v, seg, i, CodecModel.storedBytesPerSec(sf, video) * segSec * scale,
+            CodecModel.ingestCores(sf, video) * scale * segSec, fs.size)
+        }
+    }
+  }
+
+  test("ingest equals a driver-side reference, also with segments split across partitions") {
+    val window = SynthVideo.frames(spark, video, durationSec = 400).cache()
+    val cases = Seq(
+      "400 s window" -> window,
+      "400 s window, repartition(7)" -> window.repartition(7),
+      "two-video union" -> SynthVideo.frames(spark, Seq(video, VideoProfile.dashcam), 400))
+    for ((where, table) <- cases) {
+      val rows = SegmentStore.ingest(spark, table, sfs, video).collect()
+      val got = rows.map(s => (s.video, s.segId, s.sfId) -> s).toMap
+      val want = referenceIngest(table, sfs, video).map(s => (s.video, s.segId, s.sfId) -> s).toMap
+      assert(rows.length === want.size, s"$where: one row per (video, segment, format)")
+      assert(got.keySet === want.keySet, where)
+      def rel(a: Double, b: Double) = math.abs(a - b) / math.max(math.abs(b), 1e-300)
+      want.foreach { case (k, w) =>
+        val g = got(k)
+        assert(g.nFrames === w.nFrames, s"$where $k nFrames")
+        assert(rel(g.bytes, w.bytes) < 1e-9, s"$where $k bytes ${g.bytes} vs ${w.bytes}")
+        assert(rel(g.encodeCpuSec, w.encodeCpuSec) < 1e-9, s"$where $k encodeCpuSec")
+      }
+    }
+    window.unpersist()
+  }
+
+  test("ingest is one job with no shuffle; erode runs no job on a local catalog") {
+    implicit val s = spark
+    frames.count() // materialise the cache outside the measured window
+    stored.count()
+    assert(sparkActivity(SegmentStore.ingest(spark, frames, sfs, video)) === ((1, 0L)))
+    // not `stored`'s rows: a plan equal to a cached one reads the cache
+    val local = SegmentStore.ingest(spark, SynthVideo.frames(spark, VideoProfile.dashcam, 40),
+      sfs, VideoProfile.dashcam)
+    assert(sparkActivity(SegmentStore.erode(local, 0, 0.4).collect())._1 === 0)
+    assert(sparkActivity(SegmentStore.erode(stored, 0, 0.4).collect())._2 === 0L)
+  }
+
+  test("degenerate input fails with named errors") {
+    implicit val s = spark
+    for (f <- Seq(-0.1, 1.5, Double.NaN)) {
+      val e = intercept[IllegalArgumentException](SegmentStore.erode(stored, 0, f))
+      assert(e.getMessage.contains("deleteFraction"), e.getMessage)
+    }
+    val e = intercept[IllegalArgumentException](SegmentStore.ingest(spark, frames, Nil, video))
+    assert(e.getMessage.contains("no storage formats"), e.getMessage)
+  }
+
+  test("an empty frame table ingests to an empty catalog") {
+    assert(SegmentStore.ingest(spark, frames.limit(0), sfs, video).count() === 0L)
   }
 }
