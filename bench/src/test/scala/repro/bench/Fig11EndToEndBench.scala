@@ -5,7 +5,6 @@ import repro.report.Reports
 import repro.core.VStoreConfigurator
 import repro.video.{SynthVideo, VideoProfile}
 import repro.video.OperatorModel
-import repro.baselines.Alternatives
 import repro.query.QueryEngine
 import repro.store.SegmentStore
 

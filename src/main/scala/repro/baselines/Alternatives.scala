@@ -2,7 +2,7 @@ package repro.baselines
 
 import repro.video.Formats._
 import repro.video.{CodecModel, VideoProfile}
-import repro.video.OperatorModel.{Consumer, Operator}
+import repro.video.OperatorModel.Operator
 import repro.core.{StorageConfig, VStoreConfigurator}
 import repro.core.VStoreConfigurator.Configuration
 import repro.query.QueryEngine

@@ -1,6 +1,5 @@
 package repro.core
 
-import repro.video.Knobs._
 import repro.video.Formats._
 
 /** §4.4 — age-based data erosion.

@@ -1,25 +1,35 @@
 package repro.query
 
+import org.apache.spark.TaskContext
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
 import repro.video.Knobs._
 import repro.video.Formats._
 import repro.video.{CodecModel, SynthVideo, VideoProfile}
 import repro.video.OperatorModel.{Consumer, Operator}
-import repro.store.SegmentStore.Frame
 
 /** Query execution: a cascade of operators streamed over stored segments.
   *
   * Two layers:
   *  - [[analyticStageSpeed]] / [[analyticQuerySpeed]] — closed-form speeds
   *    from the cost models (what the configurator reasons about);
-  *  - [[runCascade]] — the executed cascade, one pass over the frames: a
-  *    single `mapPartitions` streams each frame once through every stage,
-  *    sampling it at the stage's consumption rate and running the per-frame
-  *    detector, and emits one row of counters per partition (frames, and
-  *    each stage's sampled/tp/fn). The driver sums those rows and derives
-  *    decode time (simulated), operator time, F1 and speeds from the totals.
-  *    Every total is a plain sum over frames, so the result does not depend
-  *    on how frames fall across partitions (oracle-checked in tests).
+  *  - [[runCascade]] — the executed cascade, one Spark job over the frames:
+  *    `runJob` over the physical plan's rows (`queryExecution.toRdd`, read
+  *    by ordinal, so no encoder or per-frame object is built) streams each
+  *    frame once through every stage, sampling it at the stage's
+  *    consumption rate and running the per-frame detector, and returns one
+  *    array of counters per partition (frames, and each stage's
+  *    sampled/tp/fn). The driver sums those arrays and derives decode time
+  *    (simulated), operator time, F1 and speeds from the totals. Every total
+  *    is a plain sum over frames, so the result does not depend on how
+  *    frames fall across partitions (oracle-checked in tests).
+  *
+  * The task function is a named class, [[CascadeCounters]], handed to the
+  * `(TaskContext, Iterator)` overload of `runJob`: Spark's closure cleaner
+  * returns at once for a class that is not a closure, whereas for a lambda,
+  * or for the wrapper lambda the other overloads build, it re-reads and
+  * parses class bytecode on every call, which cost more driver time than
+  * the job itself.
   *
   * Speed metric: video duration / processing delay, in multiples of
   * realtime; retrieval and consumption are pipelined, so a stage's speed is
@@ -57,9 +67,23 @@ object QueryEngine {
 
   /** Aggregated result of one cascade run. */
   final case class CascadeResult(perOp: Map[String, OpResult], querySpeed: Double)
-  /** One stage's totals; `fp` is always 0 (the detector has precision 1). */
-  final case class OpResult(f1: Double, sampled: Long, tp: Long, fn: Long, fp: Long,
+  /** One stage's totals. There is no false-positive count: the detector has
+    * precision 1 (`OperatorModel.detectProb`).
+    */
+  final case class OpResult(f1: Double, sampled: Long, tp: Long, fn: Long,
                             decodeSec: Double, opSec: Double, stageSpeed: Double)
+
+  object OpResult {
+    /** The former 8-field form with its false-positive count, which must be
+      * 0; perfbench's `ChecksSpec` still builds results this way. Remove it
+      * together with that call.
+      */
+    def apply(f1: Double, sampled: Long, tp: Long, fn: Long, fp: Long,
+              decodeSec: Double, opSec: Double, stageSpeed: Double): OpResult = {
+      require(fp == 0L, s"OpResult: fp $fp, but the detector has precision 1")
+      OpResult(f1, sampled, tp, fn, decodeSec, opSec, stageSpeed)
+    }
+  }
 
   /** Execute a cascade over `frames` (ingest-format frame table of one
     * video) in one Spark job. Stage i charges time only for the fraction of
@@ -73,35 +97,12 @@ object QueryEngine {
     val repeated = names.diff(names.distinct).distinct
     require(repeated.isEmpty, s"runCascade: operator ${repeated.mkString(", ")} " +
       "appears in more than one stage, but per-op results are keyed by operator name")
-    import spark.implicits._
-    val n = stages.size
-    val everyN = stages.map(st =>
-      math.max(1, math.round(SynthVideo.Fps / st.cf.sampling.fps).toInt)).toArray
-    val detectProb = stages.map(st => st.op.detectProb(st.cf, video)).toArray
-    val salt = stages.map(st => s"detect-${st.op.name}").toArray
-
-    // c(0) counts frames; c(1 + 3i), c(2 + 3i), c(3 + 3i) are stage i's
-    // sampled frames, true positives and false negatives
-    val counters = frames.as[Frame].mapPartitions { it =>
-      val c = new Array[Long](1 + 3 * n)
-      it.foreach { f =>
-        c(0) += 1
-        var i = 0
-        while (i < n) {
-          if (f.frameIdx % everyN(i) == 0) {
-            c(1 + 3 * i) += 1
-            if (f.isEvent) {
-              val hit = SynthVideo.u01Scala(f.video, f.frame, salt(i)) < detectProb(i)
-              c((if (hit) 2 else 3) + 3 * i) += 1
-            }
-          }
-          i += 1
-        }
+    val rows = frames.select("video", "frame", "frameIdx", "isEvent").queryExecution.toRdd
+    val counters = spark.sparkContext
+      .runJob(rows, new CascadeCounters(video, stages), rows.partitions.indices)
+      .foldLeft(new Array[Long](1 + 3 * stages.size)) { (sum, c) =>
+        c.indices.foreach(j => sum(j) += c(j)); sum
       }
-      Iterator.single(c)
-    }.collect().foldLeft(new Array[Long](1 + 3 * n)) { (sum, c) =>
-      c.indices.foreach(j => sum(j) += c(j)); sum
-    }
     require(counters(0) > 0, "runCascade: the frame table is empty")
 
     val videoSec = counters(0).toDouble / SynthVideo.Fps
@@ -118,7 +119,7 @@ object QueryEngine {
       val stageSec = math.max(decodeSec, opSec)
       timePerVideoSec += stageSec * fraction / videoSec
       fraction *= st.op.selectivity
-      st.op.name -> OpResult(f1, sampled, tp, fn, 0L, decodeSec, opSec, videoSec / stageSec)
+      st.op.name -> OpResult(f1, sampled, tp, fn, decodeSec, opSec, videoSec / stageSec)
     }.toMap
     CascadeResult(perOp, 1.0 / timePerVideoSec)
   }
@@ -130,4 +131,39 @@ object QueryEngine {
       val c = Consumer(op, accuracy)
       Stage(op, cfOf(c), sfOf(c))
     }
+}
+
+/** [[QueryEngine.runCascade]]'s task: one partition's counters over rows of
+  * (video, frame, frameIdx, isEvent). c(0) counts frames; c(1 + 3i),
+  * c(2 + 3i), c(3 + 3i) are stage i's sampled frames, true positives and
+  * false negatives. A named class, not a lambda, so that Spark's closure
+  * cleaner skips it (see [[QueryEngine]]).
+  */
+private[query] final class CascadeCounters(video: VideoProfile, stages: Seq[QueryEngine.Stage])
+    extends ((TaskContext, Iterator[InternalRow]) => Array[Long]) with Serializable {
+  private val everyN = stages.map(st =>
+    math.max(1, math.round(SynthVideo.Fps / st.cf.sampling.fps).toInt)).toArray
+  private val detectProb = stages.map(st => st.op.detectProb(st.cf, video)).toArray
+  private val salt = stages.map(st => s"detect-${st.op.name}").toArray
+
+  def apply(task: TaskContext, rows: Iterator[InternalRow]): Array[Long] = {
+    val n = everyN.length
+    val c = new Array[Long](1 + 3 * n)
+    rows.foreach { r =>
+      c(0) += 1
+      val frameIdx = r.getInt(2)
+      var i = 0
+      while (i < n) {
+        if (frameIdx % everyN(i) == 0) {
+          c(1 + 3 * i) += 1
+          if (r.getBoolean(3)) {
+            val hit = SynthVideo.u01Scala(r.getUTF8String(0).toString, r.getLong(1), salt(i)) < detectProb(i)
+            c((if (hit) 2 else 3) + 3 * i) += 1
+          }
+        }
+        i += 1
+      }
+    }
+    c
+  }
 }

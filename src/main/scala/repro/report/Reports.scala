@@ -4,8 +4,8 @@ import repro.video.Knobs._
 import repro.video.Formats._
 import repro.video.{CodecModel, VideoProfile}
 import repro.video.OperatorModel
-import repro.video.OperatorModel.{Consumer, Operator}
-import repro.core.{ConsumptionConfig, Erosion, Profiler, StorageConfig, VStoreConfigurator}
+import repro.video.OperatorModel.Consumer
+import repro.core.{ConsumptionConfig, Erosion, Profiler, VStoreConfigurator}
 import repro.core.VStoreConfigurator.Configuration
 import repro.baselines.Alternatives
 

@@ -1,31 +1,36 @@
 package repro.store
 
-import scala.collection.mutable
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.TaskContext
+import org.apache.spark.sql.{DataFrame, Dataset, Encoders, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions._
+import org.apache.spark.unsafe.types.UTF8String
 import repro.video.Formats._
 import repro.video.{CodecModel, SynthVideo, VideoProfile}
 
 /** Spark-backed segment store: the LMDB substitute (DESIGN.md).
   *
   * Ingestion transcodes each 8-second segment of the incoming stream into
-  * every storage format of the configuration (§5). One `mapPartitions` pass
-  * streams the frames once and keeps, per partition, each segment's frame
-  * count and motion sum; the driver merges the partials of segments split
-  * across partitions and applies the codec model to each segment under each
-  * storage format, emitting one catalog row per (segment, format) with its
-  * stored size and encode CPU cost. The catalog is per-segment metadata, so
-  * it is returned as a driver-local Dataset.
+  * every storage format of the configuration (§5). One Spark job, `runJob`
+  * over the physical plan's rows (`queryExecution.toRdd`, read by ordinal,
+  * so no encoder or per-frame object is built), streams the frames once and
+  * returns, per partition, each segment's frame count and motion sum; the
+  * driver merges the partials of segments split across partitions and
+  * applies the codec model to each segment under each storage format,
+  * emitting one catalog row per (segment, format) with its stored size and
+  * encode CPU cost. The catalog is per-segment metadata, so it is returned
+  * as a driver-local Dataset. The task function is a named class,
+  * [[SegmentPartials]], for the reason given at `QueryEngine`: Spark's
+  * closure cleaner returns at once for it.
   *
   * Erosion (§4.4) deletes whole segments of one format by age, a catalog
   * operation: it is a Column-expression filter, which Catalyst folds into
-  * the local relation of a driver-local catalog, so no Spark job runs.
+  * the local relation of a driver-local catalog, so no Spark job runs. The
+  * per-format totals are summed on the driver over the collected
+  * (sfId, value) pairs: no job on a local catalog, no shuffle on a cached
+  * one.
   */
 object SegmentStore {
-
-  /** One frame row of the ingest-format frame table. */
-  final case class Frame(video: String, segId: Long, frameIdx: Int, frame: Long,
-                         isEvent: Boolean, difficulty: Double, motion: Double)
 
   /** One stored-segment catalog row. `sfId` indexes into the configuration's
     * storage-format list; sizes in bytes, encode cost in CPU-seconds.
@@ -46,24 +51,14 @@ object SegmentStore {
   def ingest(spark: SparkSession, frames: DataFrame, sfs: Seq[StorageFormat],
              video: VideoProfile): Dataset[StoredSegment] = {
     require(sfs.nonEmpty, "ingest: the configuration has no storage formats")
-    import spark.implicits._
-    // (video, segId, frames, motion sum) per segment per partition; a
-    // segment that straddles partitions yields one partial in each
-    val partials = frames.select("video", "segId", "motion").as[(String, Long, Double)]
-      .mapPartitions { it =>
-        val acc = mutable.HashMap.empty[(String, Long), (Int, Double)]
-        it.foreach { case (v, seg, motion) =>
-          val (n, sum) = acc.getOrElse((v, seg), (0, 0.0))
-          acc((v, seg)) = (n + 1, sum + motion)
-        }
-        acc.iterator.map { case ((v, seg), (n, sum)) => (v, seg, n, sum) }
-      }.collect()
+    val rows = frames.select("video", "segId", "motion").queryExecution.toRdd
+    val partials = spark.sparkContext.runJob(rows, new SegmentPartials, rows.partitions.indices).flatten
     val segments = partials.groupMapReduce(p => (p._1, p._2))(p => (p._3, p._4)) {
       case ((n1, s1), (n2, s2)) => (n1 + n2, s1 + s2)
     }
     val perSec = sfs.map(CodecModel.storedBytesPerSec(_, video))
     val cores = sfs.map(CodecModel.ingestCores(_, video))
-    val rows = segments.toSeq.sortBy(_._1).flatMap { case ((v, seg), (n, motionSum)) =>
+    val catalog = segments.toSeq.sortBy(_._1).flatMap { case ((v, seg), (n, motionSum)) =>
       val segSec = n.toDouble / SynthVideo.Fps
       // mean motion of this segment relative to the dataset mean (1.0)
       val rel = math.max(0.25, math.min(4.0, motionSum / n / video.motionFactor))
@@ -73,7 +68,7 @@ object SegmentStore {
         StoredSegment(v, seg, i, perSec(i) * segSec * scale, cores(i) * scale * segSec, n)
       }
     }
-    spark.createDataset(rows)
+    spark.createDataset(catalog)(Encoders.product[StoredSegment])
   }
 
   /** Total stored bytes per storage format id. */
@@ -84,9 +79,11 @@ object SegmentStore {
   def encodeCpuByFormat(stored: Dataset[StoredSegment]): Map[Int, Double] =
     sumByFormat(stored, "encodeCpuSec")
 
-  private def sumByFormat(stored: Dataset[StoredSegment], column: String): Map[Int, Double] =
-    stored.groupBy("sfId").agg(sum(column))
-      .collect().map(r => r.getInt(0) -> r.getDouble(1)).toMap
+  private def sumByFormat(stored: Dataset[StoredSegment], column: String): Map[Int, Double] = {
+    import stored.sparkSession.implicits._
+    stored.select(col("sfId"), col(column)).as[(Int, Double)].collect()
+      .groupMapReduce(_._1)(_._2)(_ + _)
+  }
 
   /** Apply an erosion plan: drop `deleteFraction` of segments (oldest-id
     * first, deterministically) for the given format. The fraction counts
@@ -103,5 +100,45 @@ object SegmentStore {
     val nDelete = math.round(ids.length * deleteFraction).toInt
     if (nDelete == 0) stored
     else stored.filter(col("sfId") =!= sfId || col("segId") > ids(nDelete - 1))
+  }
+}
+
+/** [[SegmentStore.ingest]]'s task: over rows of (video, segId, motion), one
+  * partition's (video, segId, frames, motion sum) per segment; a segment
+  * that straddles partitions yields one partial in each. It keeps a
+  * running total for the current segment and touches the map only when the
+  * segment changes, which in the frame table's segment order is once per
+  * segment. A named class, not a lambda, so that Spark's closure cleaner
+  * skips it.
+  */
+private[store] final class SegmentPartials
+    extends ((TaskContext, Iterator[InternalRow]) => Array[(String, Long, Int, Double)])
+    with Serializable {
+  def apply(task: TaskContext, rows: Iterator[InternalRow]): Array[(String, Long, Int, Double)] = {
+    var acc = Map.empty[(String, Long), (Int, Double)]
+    // the current run; `toRdd` may reuse a row's buffer for the next row,
+    // so the video name kept across rows is a copy
+    var video: UTF8String = null
+    var seg = 0L
+    var n = 0
+    var motion = 0.0
+    def flush(): Unit = if (n > 0) {
+      val key = (video.toString, seg)
+      val (n0, m0) = acc.getOrElse(key, (0, 0.0))
+      acc = acc.updated(key, (n0 + n, m0 + motion))
+    }
+    rows.foreach { r =>
+      if (n == 0 || r.getLong(1) != seg || r.getUTF8String(0) != video) {
+        flush()
+        video = r.getUTF8String(0).clone()
+        seg = r.getLong(1)
+        n = 0
+        motion = 0.0
+      }
+      n += 1
+      motion += r.getDouble(2)
+    }
+    flush()
+    acc.iterator.map { case ((v, s), (k, m)) => (v, s, k, m) }.toArray
   }
 }

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.video.Knobs._
 import repro.video.{CodecModel, VideoProfile}
 import repro.video.OperatorModel
 import repro.video.OperatorModel.Consumer

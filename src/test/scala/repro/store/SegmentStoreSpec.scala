@@ -1,12 +1,12 @@
 package repro.store
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{Frame, SparkSpec}
 import repro.video.Knobs._
 import repro.video.Formats._
 import repro.video.{CodecModel, SynthVideo, VideoProfile}
-import repro.store.SegmentStore.{Frame, StoredSegment}
+import repro.store.SegmentStore.StoredSegment
 
 class SegmentStoreSpec extends SparkSpec {
 
@@ -85,7 +85,6 @@ class SegmentStoreSpec extends SparkSpec {
   test("erode removes the requested fraction of a format's segments") {
     implicit val s = spark
     val after = SegmentStore.erode(stored, sfId = 0, deleteFraction = 0.4)
-    import spark.implicits._
     assert(after.filter(_.sfId == 0).count() === 3) // 5 - 2
     assert(after.filter(_.sfId == 1).count() === 5) // untouched
   }
@@ -100,7 +99,6 @@ class SegmentStoreSpec extends SparkSpec {
 
   test("erode with fraction 0 and 1 are no-op and full delete") {
     implicit val s = spark
-    import spark.implicits._
     assert(SegmentStore.erode(stored, 0, 0.0).filter(_.sfId == 0).count() === 5)
     assert(SegmentStore.erode(stored, 0, 1.0).filter(_.sfId == 0).count() === 0)
   }
@@ -138,6 +136,9 @@ class SegmentStoreSpec extends SparkSpec {
     val cases = Seq(
       "400 s window" -> window,
       "400 s window, repartition(7)" -> window.repartition(7),
+      // every row starts a new run, and each segment arrives in 240 runs
+      "400 s window, one partition sorted by frameIdx" ->
+        window.coalesce(1).sortWithinPartitions("frameIdx"),
       "two-video union" -> SynthVideo.frames(spark, Seq(video, VideoProfile.dashcam), 400))
     for ((where, table) <- cases) {
       val rows = SegmentStore.ingest(spark, table, sfs, video).collect()
@@ -166,6 +167,35 @@ class SegmentStoreSpec extends SparkSpec {
       sfs, VideoProfile.dashcam)
     assert(sparkActivity(SegmentStore.erode(local, 0, 0.4).collect())._1 === 0)
     assert(sparkActivity(SegmentStore.erode(stored, 0, 0.4).collect())._2 === 0L)
+    for (sums <- Seq[Dataset[StoredSegment] => Map[Int, Double]](
+           SegmentStore.bytesByFormat, SegmentStore.encodeCpuByFormat)) {
+      assert(sparkActivity(sums(local))._1 === 0)
+      assert(sparkActivity(sums(stored))._2 === 0L)
+    }
+  }
+
+  test("per-format sums equal a driver-side sum, on a local and a cached catalog") {
+    val local = SegmentStore.ingest(spark, SynthVideo.frames(spark, VideoProfile.dashcam, 40),
+      sfs, VideoProfile.dashcam)
+    def rel(a: Double, b: Double) = math.abs(a - b) / math.max(math.abs(b), 1e-300)
+    for ((where, catalog) <- Seq("local" -> local, "cached" -> stored)) {
+      val rows = catalog.collect()
+      def check(what: String, got: Map[Int, Double], value: StoredSegment => Double): Unit = {
+        val want = rows.groupMapReduce(_.sfId)(value)(_ + _)
+        assert(got.keySet === want.keySet, s"$where $what")
+        want.foreach { case (id, w) => assert(rel(got(id), w) < 1e-9, s"$where $what sf$id") }
+      }
+      check("bytes", SegmentStore.bytesByFormat(catalog), _.bytes)
+      check("encodeCpuSec", SegmentStore.encodeCpuByFormat(catalog), _.encodeCpuSec)
+    }
+  }
+
+  test("ingest's task function is a named class, not a lambda") {
+    // a lambda sends Spark's closure cleaner through class bytecode on every
+    // call; results would not change
+    val cls = new SegmentPartials().getClass
+    assert(!cls.isSynthetic, cls.getName)
+    assert(!cls.getName.contains("$anonfun$") && !cls.getName.contains("$$Lambda"), cls.getName)
   }
 
   test("degenerate input fails with named errors") {
