@@ -38,7 +38,7 @@ class Fig12ErosionBench extends AnyFunSuite {
   test("every reachable budget is met by the plan") {
     results.zip(budgets).foreach { case (r, b) =>
       val total = r.perAgeBytes.sum
-      if (r.k < 7.99) assert(total <= b + 1e-6, f"budget ${b / 1e12}%.2f total ${total / 1e12}%.2f")
+      if (r.k < Erosion.KMax) assert(total <= b + 1e-6, f"budget ${b / 1e12}%.2f total ${total / 1e12}%.2f")
     }
   }
 

@@ -34,7 +34,7 @@ object Alternatives {
     * keeps retrieval adequate for its fastest consumer.
     */
   def nToNSfs(cfg: Configuration): Vector[StorageFormat] = {
-    val demands = StorageConfig.demands(cfg.profilerA, VStoreConfigurator.storageInputs(cfg.derived))
+    val demands = StorageConfig.demands(VStoreConfigurator.storageInputs(cfg.derived))
     StorageConfig.initialNodes(cfg.profilerA, demands).filter(_.cfs.nonEmpty).map(_.sf)
   }
 
@@ -65,23 +65,18 @@ object Alternatives {
   def querySpeed(alt: Config, cfg: Configuration, cascade: Seq[Operator], accuracy: Double): Double =
     QueryEngine.analyticQuerySpeed(stages(alt, cfg, cascade, accuracy))
 
-  /** Storage cost in bytes/sec of one ingested stream under an alternative. */
-  def storageBytesPerSec(alt: Config, cfg: Configuration, video: VideoProfile): Double = {
-    val sfs = alt match {
-      case VStoreCfg         => cfg.sfs
-      case OneToOne | OneToN => Vector(cfg.golden)
-      case NToN              => nToNSfs(cfg)
-    }
-    sfs.map(CodecModel.storedBytesPerSec(_, video)).sum
+  /** The formats an alternative stores for each ingested stream. */
+  private def storedSfs(alt: Config, cfg: Configuration): Vector[StorageFormat] = alt match {
+    case VStoreCfg         => cfg.sfs
+    case OneToOne | OneToN => Vector(cfg.golden)
+    case NToN              => nToNSfs(cfg)
   }
 
+  /** Storage cost in bytes/sec of one ingested stream under an alternative. */
+  def storageBytesPerSec(alt: Config, cfg: Configuration, video: VideoProfile): Double =
+    storedSfs(alt, cfg).map(CodecModel.storedBytesPerSec(_, video)).sum
+
   /** Ingestion cost in cores for one realtime stream under an alternative. */
-  def ingestCores(alt: Config, cfg: Configuration, video: VideoProfile): Double = {
-    val sfs = alt match {
-      case VStoreCfg         => cfg.sfs
-      case OneToOne | OneToN => Vector(cfg.golden)
-      case NToN              => nToNSfs(cfg)
-    }
-    CodecModel.ingestCores(sfs, video)
-  }
+  def ingestCores(alt: Config, cfg: Configuration, video: VideoProfile): Double =
+    CodecModel.ingestCores(storedSfs(alt, cfg), video)
 }

@@ -88,12 +88,6 @@ object ConsumptionConfig {
     Derived(consumer, chosen, p.accuracy, p.consumptionCost)
   }
 
-  /** Derive consumption formats for a whole consumer set, sharing the
-    * profiler (and so the memo) across accuracy levels of each operator.
-    */
-  def deriveAll(profiler: Profiler, consumers: Seq[Consumer]): Vector[Derived] =
-    consumers.map(derive(profiler, _)).toVector
-
   /** Exhaustive derivation (the Figure 13 baseline): profile every fidelity
     * option and pick the cheapest adequate one.
     */

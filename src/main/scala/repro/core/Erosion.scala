@@ -30,6 +30,14 @@ object Erosion {
       math.min(consumptionSpeed, retrievalSpeedOf(sf))
   }
 
+  /** The largest decay factor k the plan search tries; a plan at KMax may
+    * be best effort (over budget).
+    */
+  val KMax = 8.0
+  /** Deletion increment of one erosion step, and the k-search precision. */
+  private val Step = 0.05
+  private val Tol = 0.01
+
   /** Deleted fraction per storage format at one age (cumulative). */
   type Deletion = Map[StorageFormat, Double]
 
@@ -75,19 +83,19 @@ object Erosion {
     (1.0 - pmin) * math.pow(x.toDouble, -k) + pmin
 
   /** Erode greedily from `start` until overall speed <= `target`, in
-    * `step`-sized deletion increments, always picking the format whose next
+    * `Step`-sized deletion increments, always picking the format whose next
     * increment reduces the overall speed the least (fair-scheduler spirit:
     * spread decay evenly; never touch the root).
     */
   def erodeToTarget(tree: FormatTree, consumers: Seq[ErosionConsumer],
-                    start: Deletion, target: Double, step: Double = 0.05): Deletion = {
+                    start: Deletion, target: Double): Deletion = {
     var del = tree.formats.filterNot(_ == tree.root).map(sf => sf -> start.getOrElse(sf, 0.0)).toMap
     var guard = 0
-    val maxIter = (tree.formats.size / step).toInt + 200
+    val maxIter = (tree.formats.size / Step).toInt + 200
     while (overallSpeed(tree, del, consumers) > target && guard < maxIter) {
       guard += 1
       val candidates = del.collect { case (sf, d) if d < 1.0 - 1e-9 =>
-        val d2 = del.updated(sf, math.min(1.0, d + step))
+        val d2 = del.updated(sf, math.min(1.0, d + Step))
         (sf, d2, overallSpeed(tree, d2, consumers))
       }
       if (candidates.isEmpty) return del
@@ -100,11 +108,12 @@ object Erosion {
 
   /** The full plan: cumulative deletion per format for each age 1..lifespan. */
   final case class Plan(k: Double, pmin: Double, perAge: Vector[Deletion]) {
-    /** Total stored bytes over the lifespan given per-format bytes/day. */
+    /** Stored bytes at each age given per-format bytes/day. */
+    def bytesPerAge(bytesPerDay: Map[StorageFormat, Double]): Vector[Double] =
+      perAge.map(del => bytesPerDay.map { case (sf, b) => b * (1.0 - del.getOrElse(sf, 0.0)) }.sum)
+    /** Total stored bytes over the lifespan; `root` is unused. */
     def totalBytes(bytesPerDay: Map[StorageFormat, Double], root: StorageFormat): Double =
-      perAge.map { del =>
-        bytesPerDay.map { case (sf, b) => b * (1.0 - del.getOrElse(sf, 0.0)) }.sum
-      }.sum
+      bytesPerAge(bytesPerDay).sum
     /** Overall speed per age under this plan. */
     def speeds(tree: FormatTree, consumers: Seq[ErosionConsumer]): Vector[Double] =
       perAge.map(overallSpeed(tree, _, consumers))
@@ -114,12 +123,12 @@ object Erosion {
     * age x starts from age x-1's state.
     */
   def planForK(tree: FormatTree, consumers: Seq[ErosionConsumer],
-               lifespanDays: Int, k: Double, step: Double = 0.05): Plan = {
+               lifespanDays: Int, k: Double): Plan = {
     val pmin = pMin(tree, consumers)
     var del: Deletion = Map.empty
     val ages = (1 to lifespanDays).map { x =>
       val target = targetSpeed(x, k, pmin)
-      del = erodeToTarget(tree, consumers, del, target, step)
+      del = erodeToTarget(tree, consumers, del, target)
       del
     }.toVector
     Plan(k, pmin, ages)
@@ -131,20 +140,19 @@ object Erosion {
     */
   def derivePlan(tree: FormatTree, consumers: Seq[ErosionConsumer],
                  bytesPerDay: Map[StorageFormat, Double], lifespanDays: Int,
-                 budgetBytes: Double, step: Double = 0.05,
-                 kMax: Double = 8.0, tol: Double = 0.01): Plan = {
+                 budgetBytes: Double): Plan = {
     def fits(k: Double): (Plan, Boolean) = {
-      val p = planForK(tree, consumers, lifespanDays, k, step)
+      val p = planForK(tree, consumers, lifespanDays, k)
       (p, p.totalBytes(bytesPerDay, tree.root) <= budgetBytes)
     }
     val (p0, ok0) = fits(0.0)
     if (ok0) return p0
-    val (pMaxPlan, okMax) = fits(kMax)
+    val (pMaxPlan, okMax) = fits(KMax)
     if (!okMax) return pMaxPlan // even max decay cannot fit; return best effort
     var lo = 0.0
-    var hi = kMax
+    var hi = KMax
     var best = pMaxPlan
-    while (hi - lo > tol) {
+    while (hi - lo > Tol) {
       val mid = (lo + hi) / 2
       val (p, ok) = fits(mid)
       if (ok) { best = p; hi = mid } else lo = mid

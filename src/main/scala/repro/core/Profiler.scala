@@ -8,11 +8,12 @@ import repro.video.OperatorModel.Operator
 
 /** Profiling service with memoization and run accounting (paper §4.2/§4.3).
   *
-  * The configurator never reads the models directly — every (operator,
-  * fidelity) accuracy/cost observation and every storage-format size/decode
-  * observation goes through here, so the benches can report the number of
-  * profiling runs and the simulated profiling delay exactly as the paper's
-  * Figure 13 does.
+  * Every (operator, fidelity) accuracy/cost observation and every
+  * storage-format size/encode observation goes through here, so the benches
+  * can report the number of profiling runs and the simulated profiling delay
+  * exactly as the paper's Figure 13 does. Decode speed is read from
+  * `CodecModel` directly: it rides along with the profiled size and encode
+  * cost, and the paper does not count it as a run.
   */
 object Profiler {
 
@@ -28,6 +29,9 @@ object Profiler {
     */
   final case class SfProfile(bytesPerSec: Double, ingestCores: Double)
 
+  /** Seconds of profiling video each operator profile decodes and consumes. */
+  val SampleClipSec: Double = 10.0
+
   /** Profiles operators analytically over a given profiling video (paper
     * profiles query A's operators on jackson and query B's on dashcam).
     */
@@ -38,8 +42,7 @@ object Profiler {
 }
 
 /** Stateful profiler for one configuration process. */
-final class Profiler(backend: Profiler.AnalyticOpBackend, video: VideoProfile,
-                     val sampleClipSec: Double = 10.0) {
+final class Profiler(backend: Profiler.AnalyticOpBackend, video: VideoProfile) {
   import Profiler._
 
   private val opMemo = mutable.Map.empty[(String, Fidelity), OpProfile]
@@ -65,7 +68,7 @@ final class Profiler(backend: Profiler.AnalyticOpBackend, video: VideoProfile,
       // preparing the sample (decode at golden-format speed) + running the op
       val goldenDecode = CodecModel.retrievalSpeed(
         StorageFormat(Fidelity.full, Coding.slowestSmallest), f.sampling.fps)
-      opDelaySec += sampleClipSec / goldenDecode + sampleClipSec * p.consumptionCost
+      opDelaySec += SampleClipSec / goldenDecode + SampleClipSec * p.consumptionCost
       p
     })
 
@@ -80,11 +83,4 @@ final class Profiler(backend: Profiler.AnalyticOpBackend, video: VideoProfile,
       SfProfile(CodecModel.storedBytesPerSec(sf, video), CodecModel.ingestCores(sf, video))
     })
   }
-
-  /** Observed decode/retrieval speed of a stored format for a consumer
-    * sampling at `fps` — pure model read (the expensive part, size/encode,
-    * is what the paper profiles; decode speed rides along with it).
-    */
-  def retrievalSpeed(sf: StorageFormat, fps: Double): Double =
-    CodecModel.retrievalSpeed(sf, fps)
 }

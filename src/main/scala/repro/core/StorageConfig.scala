@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.video.Knobs._
-import repro.video.Formats
+import repro.video.{CodecModel, Formats}
 import repro.video.Formats._
 import repro.video.OperatorModel.Consumer
 
@@ -58,9 +58,9 @@ object StorageConfig {
     * paper's SF3 row has the same property: its retrieval ceiling is what
     * such consumers get).
     */
-  def demands(profiler: Profiler, consumers: Seq[(Consumer, ConsumptionFormat, Double)]): Vector[Demand] =
+  def demands(consumers: Seq[(Consumer, ConsumptionFormat, Double)]): Vector[Demand] =
     consumers.groupBy(_._2).map { case (cf, cs) =>
-      val ceiling = profiler.retrievalSpeed(
+      val ceiling = CodecModel.retrievalSpeed(
         StorageFormat(cf.fidelity, Raw), cf.fidelity.sampling.fps)
       Demand(cf, math.min(cs.map(_._3).max, ceiling))
     }.toVector.sortBy(_.cf.toString)
@@ -77,21 +77,15 @@ object StorageConfig {
       .sortBy(c => profiler.profileSf(StorageFormat(f, c)).bytesPerSec)
     (bySize :+ Raw).find { c =>
       val sf = StorageFormat(f, c)
-      demands.forall(d => retrievalOk(profiler, sf, d)) && admit(sf)
+      demands.forall(retrievalOk(sf, _)) && admit(sf)
     }
   }
 
   /** R2: retrieval at the demand's sampling rate must exceed its fastest
     * consumer's consumption speed.
     */
-  def retrievalOk(profiler: Profiler, sf: StorageFormat, d: Demand): Boolean =
-    profiler.retrievalSpeed(sf, d.cf.fidelity.sampling.fps) >= d.maxConsumerSpeed
-
-  private def storageCost(profiler: Profiler, nodes: Seq[Node]): Double =
-    nodes.map(n => profiler.profileSf(n.sf).bytesPerSec).sum
-
-  private def ingestCost(profiler: Profiler, nodes: Seq[Node]): Double =
-    nodes.map(n => profiler.profileSf(n.sf).ingestCores).sum
+  def retrievalOk(sf: StorageFormat, d: Demand): Boolean =
+    CodecModel.retrievalSpeed(sf, d.cf.fidelity.sampling.fps) >= d.maxConsumerSpeed
 
   /** Attempt to coalesce two nodes: knob-wise max fidelity, then the
     * smallest-size admitted coding adequate for the union of demands. None
@@ -116,99 +110,69 @@ object StorageConfig {
     perCf.toVector :+ Node(Formats.golden(demands.map(_.cf)), Set.empty)
   }
 
+  /** A candidate merge of nodes `i` < `j` into `node`, with the total
+    * storage and ingest cost the node set would have after it.
+    */
+  private final case class Merge(i: Int, j: Int, node: Node, storage: Double, ingest: Double)
+
   /** Run greedy coalescing. `ingestBudgetCores` of None means "minimize
     * storage with no ingest constraint" (the paper's end-to-end setup).
     */
   def derive(profiler: Profiler, consumers: Seq[(Consumer, ConsumptionFormat, Double)],
              ingestBudgetCores: Option[Double] = None): Result = {
-    val ds = demands(profiler, consumers)
+    val ds = demands(consumers)
     val demandOf = ds.map(d => d.cf -> d).toMap
+    def bytes(n: Node): Double = profiler.profileSf(n.sf).bytesPerSec
+    def cores(n: Node): Double = profiler.profileSf(n.sf).ingestCores
     var nodes = initialNodes(profiler, ds)
     var rounds = 0
+    def storage: Double = nodes.map(bytes).sum
+    def ingest: Double = nodes.map(cores).sum
+
+    // every pair merge whose coding `admit` accepts, in pair order
+    def merges(admit: (Node, Node) => StorageFormat => Boolean): Seq[Merge] = {
+      val (st, in) = (storage, ingest)
+      for {
+        i <- nodes.indices
+        j <- nodes.indices if j > i
+        (a, b) = (nodes(i), nodes(j))
+        m <- coalescePair(profiler, a, b, demandOf, admit(a, b))
+      } yield Merge(i, j, m, st - bytes(a) - bytes(b) + bytes(m), in - cores(a) - cores(b) + cores(m))
+    }
+    def apply(m: Merge): Unit = {
+      nodes = nodes.zipWithIndex.collect { case (n, k) if k != m.i && k != m.j => n } :+ m.node
+      rounds += 1
+    }
 
     // Phase 1: coalesce while some pair reduces ingest without raising storage.
-    var progress = true
-    while (progress) {
-      val curStorage = storageCost(profiler, nodes)
-      val curIngest = ingestCost(profiler, nodes)
-      val best = bestMerge(profiler, nodes, demandOf,
-        keep = (st, in) => st <= curStorage + 1e-9 && in < curIngest - 1e-12,
-        score = (_, in) => in)
-      best.foreach { case (i, j, merged) =>
-        nodes = applyMerge(nodes, i, j, merged)
-        rounds += 1
-      }
-      progress = best.isDefined
+    def coalesceFree(): Boolean = {
+      val (st, in) = (storage, ingest)
+      merges((_, _) => _ => true).filter(m => m.storage <= st + 1e-9 && m.ingest < in - 1e-12)
+        .minByOption(_.ingest).map(apply).isDefined
     }
+    while (coalesceFree()) ()
 
-    // Phase 2: enforce the ingest budget — cheaper coding first, then
-    // storage-increasing coalescing. The golden fidelity is the erosion
-    // anchor (§4.4) and is never stored RAW: its raw footprint would dwarf
-    // every other cost.
-    val goldenFid = root(nodes.map(_.sf)).fidelity
-    def noRawGolden(sf: StorageFormat): Boolean = !(sf.coding.isRaw && sf.fidelity == goldenFid)
-    // a budget merge only helps if it lowers ingest below the pair's own cost
-    def cheaperThanPair(a: Node, b: Node): StorageFormat => Boolean = {
-      val pairIngest = profiler.profileSf(a.sf).ingestCores + profiler.profileSf(b.sf).ingestCores
-      sf => noRawGolden(sf) && profiler.profileSf(sf).ingestCores < pairIngest - 1e-12
-    }
+    // Phase 2: enforce the ingest budget — cheaper coding first, then the
+    // merge with the least resulting storage (least damage). The golden
+    // fidelity is the erosion anchor (§4.4) and is never stored RAW: its
+    // raw footprint would dwarf every other cost.
     ingestBudgetCores.foreach { budget =>
-      var stuck = false
-      while (!stuck && ingestCost(profiler, nodes) > budget) {
-        bestCodingTune(profiler, nodes, demandOf, noRawGolden) match {
-          case Some((idx, node)) => nodes = nodes.updated(idx, node)
-          case None =>
-            val curIngest = ingestCost(profiler, nodes)
-            bestMerge(profiler, nodes, demandOf,
-              keep = (_, in) => in < curIngest - 1e-12,
-              score = (st, _) => st, // least resulting storage (least damage)
-              admit = cheaperThanPair) match {
-              case Some((i, j, merged)) =>
-                nodes = applyMerge(nodes, i, j, merged); rounds += 1
-              case None => stuck = true // nothing else reduces ingest
-            }
-        }
+      val goldenFid = root(nodes.map(_.sf)).fidelity
+      def noRawGolden(sf: StorageFormat): Boolean = !(sf.coding.isRaw && sf.fidelity == goldenFid)
+      // a budget merge only helps if it lowers ingest below the pair's own cost
+      def cheaperThanPair(a: Node, b: Node): StorageFormat => Boolean = {
+        val pairIngest = cores(a) + cores(b)
+        sf => noRawGolden(sf) && profiler.profileSf(sf).ingestCores < pairIngest - 1e-12
       }
+      def tuneOrCoalesce(): Boolean = bestCodingTune(profiler, nodes, demandOf, noRawGolden) match {
+        case Some((idx, node)) => nodes = nodes.updated(idx, node); true
+        case None => merges(cheaperThanPair).minByOption(_.storage).map(apply).isDefined
+      }
+      while (ingest > budget && tuneOrCoalesce()) ()
     }
 
     Result(nodes, rounds)
   }
-
-  /** Best merge among all pairs by `score` (lower is better) over the
-    * resulting (storage, ingest), filtered by `keep`; `admit` filters the
-    * merged coding per pair.
-    */
-  private def bestMerge(profiler: Profiler, nodes: Vector[Node],
-                        demandOf: Map[ConsumptionFormat, Demand],
-                        keep: (Double, Double) => Boolean,
-                        score: (Double, Double) => Double,
-                        admit: (Node, Node) => StorageFormat => Boolean = (_, _) => _ => true)
-  : Option[(Int, Int, Node)] = {
-    val curStorage = storageCost(profiler, nodes)
-    val curIngest = ingestCost(profiler, nodes)
-    val options = for {
-      i <- nodes.indices
-      j <- nodes.indices if j > i
-      merged <- coalescePair(profiler, nodes(i), nodes(j), demandOf, admit(nodes(i), nodes(j))).toSeq
-      mergedStorage = curStorage -
-        profiler.profileSf(nodes(i).sf).bytesPerSec -
-        profiler.profileSf(nodes(j).sf).bytesPerSec +
-        profiler.profileSf(merged.sf).bytesPerSec
-      mergedIngest = curIngest -
-        profiler.profileSf(nodes(i).sf).ingestCores -
-        profiler.profileSf(nodes(j).sf).ingestCores +
-        profiler.profileSf(merged.sf).ingestCores
-      if keep(mergedStorage, mergedIngest)
-    } yield (i, j, merged, mergedStorage, mergedIngest)
-    if (options.isEmpty) None
-    else {
-      val (i, j, m, _, _) = options.minBy { case (_, _, _, st, in) => score(st, in) }
-      Some((i, j, m))
-    }
-  }
-
-  private def applyMerge(nodes: Vector[Node], i: Int, j: Int, merged: Node): Vector[Node] =
-    nodes.zipWithIndex.collect { case (n, k) if k != i && k != j => n } :+ merged
 
   /** One coding-tuning move for the ingest budget: among all nodes, step one
     * node's coding to the next-cheaper (faster) option — speed-step first,
@@ -217,26 +181,20 @@ object StorageConfig {
     * so retrieval adequacy is preserved by construction (checked anyway for
     * the RAW jump). `admit` filters the tuned formats.
     */
-  def bestCodingTune(profiler: Profiler, nodes: Vector[Node],
-                     demandOf: Map[ConsumptionFormat, Demand],
-                     admit: StorageFormat => Boolean): Option[(Int, Node)] = {
-    val moves = nodes.zipWithIndex.flatMap { case (n, idx) =>
+  private def bestCodingTune(profiler: Profiler, nodes: Vector[Node],
+                             demandOf: Map[ConsumptionFormat, Demand],
+                             admit: StorageFormat => Boolean): Option[(Int, Node)] =
+    nodes.zipWithIndex.flatMap { case (n, idx) =>
       nextCheaperCoding(n.sf.coding)
         .map(StorageFormat(n.sf.fidelity, _))
-        .filter(sf2 => admit(sf2) && n.cfs.forall(cf => retrievalOk(profiler, sf2, demandOf(cf))))
+        .filter(sf2 => admit(sf2) && n.cfs.forall(cf => retrievalOk(sf2, demandOf(cf))))
         .flatMap { sf2 =>
           val dIngest = profiler.profileSf(n.sf).ingestCores - profiler.profileSf(sf2).ingestCores
           val dStorage = profiler.profileSf(sf2).bytesPerSec - profiler.profileSf(n.sf).bytesPerSec
           if (dIngest <= 0) None
           else Some((idx, Node(sf2, n.cfs), dStorage / dIngest))
         }
-    }
-    if (moves.isEmpty) None
-    else {
-      val (idx, node, _) = moves.minBy(_._3)
-      Some((idx, node))
-    }
-  }
+    }.minByOption(_._3).map { case (idx, node, _) => (idx, node) }
 
   /** The next cheaper-to-encode coding: bump the speed step; from `fastest`
     * fall through to RAW (encode bypass).
@@ -250,50 +208,37 @@ object StorageConfig {
     case Raw => None
   }
 
-  /** Exhaustive enumeration baseline (§6.4): try every partition of the CF
-    * set, compute the optimal (minimum-storage) format per block, and return
-    * the partition with minimum total storage among those meeting all
-    * demands. Exponential (Bell number) — callers must keep the CF set small.
+  /** Exhaustive enumeration baseline (§6.4): try every partition of the
+    * initial nodes, golden node included, coalesce each block into one
+    * format, and return the partition with minimum total storage among those
+    * meeting all demands. Folding a block pairwise gives its knob-wise max
+    * fidelity and the cheapest coding adequate for the union of its demands;
+    * a pair no coding serves makes the whole block infeasible, since
+    * retrieval never speeds up as fidelity grows. Exponential (Bell number)
+    * — callers must keep the CF set small.
     */
   def deriveExhaustive(profiler: Profiler, consumers: Seq[(Consumer, ConsumptionFormat, Double)])
   : Result = {
-    val ds = demands(profiler, consumers)
+    val ds = demands(consumers)
     val demandOf = ds.map(d => d.cf -> d).toMap
-    val cfs = ds.map(_.cf)
-    val goldenSf = Formats.golden(cfs)
-    // The golden format always exists (erosion root); serving a block of CFs
-    // *from* it is a legal configuration. Model it as a phantom partition
-    // element pinning its block's fidelity to the golden fidelity.
-    val goldenCf = ConsumptionFormat(goldenSf.fidelity)
-    val phantomGolden = !demandOf.contains(goldenCf)
-    val goldenDemand = Demand(goldenCf, 0.0)
-    def demand(cf: ConsumptionFormat): Demand =
-      if (cf == goldenCf && phantomGolden) goldenDemand else demandOf(cf)
 
-    def blocks(items: List[ConsumptionFormat]): Iterator[List[List[ConsumptionFormat]]] =
+    def partitions(items: List[Node]): Iterator[List[List[Node]]] =
       items match {
         case Nil => Iterator(Nil)
         case head :: tail =>
-          blocks(tail).flatMap { part =>
+          partitions(tail).flatMap { part =>
             val withNew = (List(head) :: part) ::
               part.indices.map(i => part.updated(i, head :: part(i))).toList
             withNew.iterator
           }
       }
 
-    val best = blocks((cfs :+ goldenCf).distinct.toList).flatMap { part =>
-      val nodesOpt = part.map { block =>
-        val f = block.map(_.fidelity).reduce(Fidelity.max)
-        cheapestAdequateCoding(profiler, f, block.map(demand))
-          .map(c => Node(StorageFormat(f, c),
-            if (phantomGolden) block.toSet - goldenCf else block.toSet))
-      }
-      if (nodesOpt.exists(_.isEmpty)) None
-      else Some {
-        val nodes = nodesOpt.flatten.toVector
-        nodes -> storageCost(profiler, nodes)
-      }
-    }.minBy(_._2)
-    Result(best._1, rounds = 0)
+    val best = partitions(initialNodes(profiler, ds).toList).flatMap { part =>
+      val merged = part.map(block => block.tail.foldLeft(Option(block.head)) { (acc, n) =>
+        acc.flatMap(coalescePair(profiler, _, n, demandOf))
+      })
+      if (merged.exists(_.isEmpty)) None else Some(merged.flatten.toVector)
+    }.minBy(_.map(n => profiler.profileSf(n.sf).bytesPerSec).sum)
+    Result(best, rounds = 0)
   }
 }

@@ -165,13 +165,10 @@ object Reports {
     val labels = sfLabels(cfg)
     budgetsBytes.map { budget =>
       val plan = Erosion.derivePlan(tree, consumers, bpd, lifespanDays, budget)
-      val perAge = plan.perAge.map { del =>
-        bpd.map { case (sf, b) => b * (1.0 - del.getOrElse(sf, 0.0)) }.sum
-      }
       val retention = plan.perAge.map { del =>
         cfg.sfs.map(sf => labels(sf) -> (1.0 - del.getOrElse(sf, 0.0))).toMap
       }
-      Fig12Result(budget, plan.k, plan.speeds(tree, consumers), perAge, retention)
+      Fig12Result(budget, plan.k, plan.speeds(tree, consumers), plan.bytesPerAge(bpd), retention)
     }.toVector
   }
 

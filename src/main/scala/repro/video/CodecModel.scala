@@ -166,10 +166,4 @@ object CodecModel {
         1.0 / (frames * perFrameSec)
     }
   }
-
-  /** Retrieval speed serving a given consumption format (consumer draws at
-    * the CF's frame rate; fidelity satisfiability is checked by the caller).
-    */
-  def retrievalSpeed(sf: StorageFormat, cf: ConsumptionFormat): Double =
-    retrievalSpeed(sf, cf.fidelity.sampling.fps)
 }

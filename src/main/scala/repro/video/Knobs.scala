@@ -40,7 +40,7 @@ object Knobs {
   /** Output resolution, 16:9, ten rungs from 60p to 720p (paper Table 1). */
   final case class Resolution(width: Int, height: Int) {
     def pixels: Long = width.toLong * height
-    def rank: Int = Resolution.all.indexOf(this)
+    def rank: Int = Resolution.ten.indexOf(this)
     override def toString: String = s"${height}p"
   }
   object Resolution {
@@ -52,7 +52,6 @@ object Knobs {
       Resolution(712, 400), Resolution(960, 540), Resolution(1068, 600),
       Resolution(1280, 720),
     )
-    val all: Vector[Resolution] = ten
   }
 
   /** Frame sampling rate: fraction of the 30 fps ingest stream retained. */
@@ -153,16 +152,13 @@ object Knobs {
     */
   sealed trait Coding {
     def isRaw: Boolean
-    def rankForStorage: Int
   }
   final case class Encoded(step: SpeedStep, kfInterval: KeyframeInterval) extends Coding {
     def isRaw = false
-    def rankForStorage: Int = step.rank
     override def toString: String = s"${kfInterval}-${step}"
   }
   case object Raw extends Coding {
     def isRaw = true
-    def rankForStorage: Int = SpeedStep.all.size
     override def toString: String = "RAW"
   }
 

@@ -41,10 +41,6 @@ object SynthVideo {
     )
   }
 
-  /** Frames for several videos unioned into one table. */
-  def frames(spark: SparkSession, videos: Seq[VideoProfile], durationSec: Int): DataFrame =
-    videos.map(frames(spark, _, durationSec)).reduce(_ unionByName _)
-
   /** The same uniform draw computed driver/executor-side in Scala, for the
     * per-frame detection decision inside mapPartitions (must match the
     * distribution, not the exact SQL hash values — detection uses its own

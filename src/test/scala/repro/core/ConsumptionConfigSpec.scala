@@ -143,13 +143,6 @@ class ConsumptionConfigSpec extends AnyFunSuite {
     assert(d.fidelity === Fidelity.full)
   }
 
-  test("deriveAll covers every consumer once") {
-    val p = profilerFor(OperatorModel.Motion)
-    val cs = OperatorModel.accuracyLevels.map(a => Consumer(OperatorModel.Motion, a))
-    val ds = ConsumptionConfig.deriveAll(p, cs)
-    assert(ds.map(_.consumer) === cs)
-  }
-
   test("derived speed is the reciprocal of cost") {
     val c = Consumer(OperatorModel.SNN, 0.9)
     val d = ConsumptionConfig.derive(profilerFor(c.op), c)

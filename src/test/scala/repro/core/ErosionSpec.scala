@@ -122,7 +122,7 @@ class ErosionSpec extends AnyFunSuite {
     // min(150,300)=150 to min(150,22)=22); deleting raw hurts fastC much
     // more (5000->22). First increments should hit mid or raw? The greedy
     // picks whichever keeps overall speed highest.
-    val del = Erosion.erodeToTarget(tree, consumers, Map.empty, target = 0.95, step = 0.05)
+    val del = Erosion.erodeToTarget(tree, consumers, Map.empty, target = 0.95)
     val speedIfMid = Erosion.overallSpeed(tree, Map(mid -> 0.05), consumers)
     val speedIfRaw = Erosion.overallSpeed(tree, Map(raw -> 0.05), consumers)
     val better = if (speedIfMid >= speedIfRaw) mid else raw

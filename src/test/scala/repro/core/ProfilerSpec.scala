@@ -68,10 +68,4 @@ class ProfilerSpec extends AnyFunSuite {
     assert(r.bytesPerSec === CodecModel.storedBytesPerSec(sf, VideoProfile.jackson))
     assert(r.ingestCores === CodecModel.ingestCores(sf, VideoProfile.jackson))
   }
-
-  test("retrievalSpeed passthrough equals the codec model") {
-    val p = fresh()
-    val sf = StorageFormat(Fidelity.full, Coding.slowestSmallest)
-    assert(p.retrievalSpeed(sf, 1.0) === CodecModel.retrievalSpeed(sf, 1.0))
-  }
 }

@@ -23,6 +23,12 @@ class StorageConfigSpec extends AnyFunSuite {
 
   private lazy val fullCfg = VStoreConfigurator.derive()
 
+  /** Encode cost rank of a coding: its speed step, with RAW above all. */
+  private def costRank(c: Coding): Int = c match {
+    case Encoded(step, _) => step.rank
+    case Raw              => SpeedStep.all.size
+  }
+
   test("R1: every CF's storage format has richer-or-equal fidelity") {
     fullCfg.storage.subscription.foreach { case (cf, sf) =>
       assert(sf.fidelity.richerOrEqual(cf.fidelity), s"$sf !>= $cf")
@@ -205,7 +211,7 @@ class StorageConfigSpec extends AnyFunSuite {
     }
     // coding ranks move toward cheaper (higher rank) for the golden format
     def goldenStep(cfg: VStoreConfigurator.Configuration) =
-      cfg.sfs.maxBy(_.fidelity.pixelRate).coding.rankForStorage
+      costRank(cfg.sfs.maxBy(_.fidelity.pixelRate).coding)
     assert(goldenStep(tight) >= goldenStep(base))
   }
 
@@ -222,13 +228,13 @@ class StorageConfigSpec extends AnyFunSuite {
     val chain = seen.result()
     assert(chain.size === 6)
     assert(chain.last === Raw)
-    assert(chain.init.map(_.rankForStorage) === chain.init.map(_.rankForStorage).sorted)
+    assert(chain.init.map(costRank) === chain.init.map(costRank).sorted)
   }
 
   test("initialNodes has one SF per CF plus the golden") {
     val p = profiler()
     val triples = triplesFor(Seq(Consumer(OperatorModel.NN, 0.9), Consumer(OperatorModel.NN, 0.8)))
-    val demands = StorageConfig.demands(p, triples)
+    val demands = StorageConfig.demands(triples)
     val nodes = StorageConfig.initialNodes(p, demands)
     assert(nodes.size === demands.size + 1)
     assert(nodes.count(_.cfs.isEmpty) === 1) // the golden node

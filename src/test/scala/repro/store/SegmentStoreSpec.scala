@@ -139,7 +139,8 @@ class SegmentStoreSpec extends SparkSpec {
       // every row starts a new run, and each segment arrives in 240 runs
       "400 s window, one partition sorted by frameIdx" ->
         window.coalesce(1).sortWithinPartitions("frameIdx"),
-      "two-video union" -> SynthVideo.frames(spark, Seq(video, VideoProfile.dashcam), 400))
+      "two-video union" -> SynthVideo.frames(spark, video, 400)
+        .unionByName(SynthVideo.frames(spark, VideoProfile.dashcam, 400)))
     for ((where, table) <- cases) {
       val rows = SegmentStore.ingest(spark, table, sfs, video).collect()
       val got = rows.map(s => (s.video, s.segId, s.sfId) -> s).toMap

@@ -3,6 +3,7 @@ package repro.video
 import org.scalatest.funsuite.AnyFunSuite
 import repro.video.Knobs._
 import repro.video.Formats._
+import repro.core.StorageConfig
 
 /** Checks the codec model against the paper's calibration anchors (Fig. 3,
   * Fig. 4b, Table 2) and its structural invariants.
@@ -162,9 +163,11 @@ class CodecModelSpec extends AnyFunSuite {
   }
 
   test("retrieval of a storage format at a CF uses the CF's sampling rate") {
+    val sf = StorageFormat(Fidelity.full, enc(SpeedStep.Slowest, 5)) // a 1/30 sampler skips chunks
     val cf = ConsumptionFormat(Fidelity.full.copy(sampling = FrameSampling.S1_30))
-    val viaCf = CodecModel.retrievalSpeed(fullSlowest, cf)
-    val viaFps = CodecModel.retrievalSpeed(fullSlowest, 1.0)
-    assert(viaCf === viaFps)
+    val atCf = CodecModel.retrievalSpeed(sf, 1.0)
+    assert(atCf > CodecModel.retrievalSpeed(sf, 30.0))
+    assert(StorageConfig.retrievalOk(sf, StorageConfig.Demand(cf, atCf)))
+    assert(!StorageConfig.retrievalOk(sf, StorageConfig.Demand(cf, atCf * 1.001)))
   }
 }

@@ -60,7 +60,8 @@ class SynthVideoSpec extends SparkSpec {
   }
 
   test("multi-video union stacks all streams") {
-    val u = SynthVideo.frames(spark, Seq(VideoProfile.jackson, VideoProfile.miami), 8)
+    val u = SynthVideo.frames(spark, VideoProfile.jackson, 8)
+      .unionByName(SynthVideo.frames(spark, VideoProfile.miami, 8))
     assert(u.count() === 2L * 8 * 30)
     assert(u.select("video").distinct().count() === 2)
   }
