@@ -46,36 +46,117 @@ object Erosion {
     * reads from each tree level is the difference of consecutive deleted
     * fractions along its fallback chain (the root is never eroded).
     */
-  def relativeSpeed(tree: FormatTree, del: Deletion, c: ErosionConsumer): Double = {
-    val chain = c.subscribed :: tree.ancestors(c.subscribed)
-    val orig = c.effectiveSpeed(c.subscribed)
-    if (orig <= 0) return 1.0
-    // Deletions are oldest-first prefixes of the segment timeline [0,1):
-    // format i lacks segments t < d_i. A consumer reads segment t from the
-    // deepest chain level that still holds it, i.e. level i serves
-    // max(0, min(d_0..d_{i-1}) - d_i); its own format serves 1 - d_0.
-    val deleted = chain.map(sf => math.max(0.0, del.getOrElse(sf, 0.0)))
-    var minBelow = 1.0 // min deleted fraction of all deeper levels
-    var time = 0.0     // wall time per unit video, in units of 1/orig
-    chain.zip(deleted).zipWithIndex.foreach { case ((sf, d), i) =>
-      val frac = if (i == 0) 1.0 - d else math.max(0.0, minBelow - d)
-      if (frac > 0) {
-        val alpha = math.min(1.0, c.effectiveSpeed(sf) / orig)
-        time += frac / math.max(alpha, 1e-9)
-      }
-      minBelow = math.min(minBelow, d)
-    }
-    if (time <= 0) 1.0 else math.min(1.0, 1.0 / time)
-  }
+  def relativeSpeed(tree: FormatTree, del: Deletion, c: ErosionConsumer): Double =
+    overallSpeed(tree, del, Seq(c))
 
   /** Overall speed: the minimum relative speed across consumers (max-min). */
-  def overallSpeed(tree: FormatTree, del: Deletion, consumers: Seq[ErosionConsumer]): Double =
-    if (consumers.isEmpty) 1.0 else consumers.map(relativeSpeed(tree, del, _)).min
+  def overallSpeed(tree: FormatTree, del: Deletion, consumers: Seq[ErosionConsumer]): Double = {
+    val kernel = new Kernel(tree, consumers)
+    kernel.overall(kernel.deletions(del))
+  }
 
   /** Minimum possible overall speed: everything but the root deleted. */
-  def pMin(tree: FormatTree, consumers: Seq[ErosionConsumer]): Double = {
-    val allGone: Deletion = tree.formats.filterNot(_ == tree.root).map(_ -> 1.0).toMap
-    overallSpeed(tree, allGone, consumers)
+  def pMin(tree: FormatTree, consumers: Seq[ErosionConsumer]): Double =
+    new Kernel(tree, consumers).pMin
+
+  /** One consumer's fallback chain, resolved against a format index: the
+    * index of each level's format and the level's speed factor
+    * max(min(1, eff/orig), 1e-9). Empty when the consumer's own effective
+    * speed is not positive, which reads as never decaying.
+    */
+  private final class Chain(val at: Array[Int], val alpha: Array[Double]) {
+    /** Relative speed under deletions indexed like `at`. Deletions are
+      * oldest-first prefixes of the segment timeline [0,1): format i lacks
+      * segments t < d_i. A consumer reads segment t from the deepest chain
+      * level that still holds it, i.e. level i serves
+      * max(0, min(d_0..d_{i-1}) - d_i); its own format serves 1 - d_0.
+      */
+    def speed(del: Array[Double]): Double = {
+      var minBelow = 1.0 // min deleted fraction of all deeper levels
+      var time = 0.0     // wall time per unit video, in units of 1/orig
+      var i = 0
+      while (i < at.length) {
+        val d = math.max(0.0, del(at(i)))
+        val frac = if (i == 0) 1.0 - d else math.max(0.0, minBelow - d)
+        if (frac > 0) time += frac / alpha(i)
+        minBelow = math.min(minBelow, d)
+        i += 1
+      }
+      if (time <= 0) 1.0 else math.min(1.0, 1.0 / time)
+    }
+  }
+
+  /** The erosion kernel for one tree and consumer set. Formats are indexed
+    * once, the tree's non-root (erodible) formats first at 0 until
+    * `erodible.size`, then the root and any subscribed format outside the
+    * tree; deletion states are arrays over that index. Each consumer's chain
+    * and each erodible format's name are computed here, once.
+    */
+  private final class Kernel(tree: FormatTree, consumers: Seq[ErosionConsumer]) {
+    private val erodible = tree.formats.filterNot(_ == tree.root)
+    private val formats = (erodible ++ (tree.root +: consumers.map(_.subscribed))).distinct
+    private val indexOf = formats.zipWithIndex.toMap
+    private val names = erodible.map(_.toString).toArray
+    private val maxIter = (tree.formats.size / Step).toInt + 200
+    private val chains: Array[Chain] = consumers.map { c =>
+      val orig = c.effectiveSpeed(c.subscribed)
+      val levels = if (orig <= 0) Nil else c.subscribed :: tree.ancestors(c.subscribed)
+      new Chain(levels.map(indexOf).toArray,
+        levels.map(sf => math.max(math.min(1.0, c.effectiveSpeed(sf) / orig), 1e-9)).toArray)
+    }.toArray
+
+    /** A deletion state as an array; formats it does not name are intact. */
+    def deletions(del: Deletion): Array[Double] = formats.map(del.getOrElse(_, 0.0)).toArray
+    /** Only the erodible formats' entries of `del`: a start state. */
+    def erodibleDeletions(del: Deletion): Array[Double] =
+      Array.tabulate(formats.size)(i => if (i < erodible.size) del.getOrElse(formats(i), 0.0) else 0.0)
+    /** The erodible formats' entries of `del` as a `Deletion`. */
+    def toDeletion(del: Array[Double]): Deletion = erodible.indices.map(i => erodible(i) -> del(i)).toMap
+
+    /** The minimum relative speed across consumers; 1 with none. */
+    def overall(del: Array[Double]): Double = {
+      var min = 1.0
+      var c = 0
+      while (c < chains.length) {
+        val s = chains(c).speed(del)
+        if (c == 0 || s < min) min = s
+        c += 1
+      }
+      min
+    }
+
+    /** Overall speed with every erodible format deleted. */
+    def pMin: Double = overall(erodibleDeletions(erodible.map(_ -> 1.0).toMap))
+
+    /** `erodeToTarget` on this kernel's arrays; erodes `del` in place. */
+    def erode(del: Array[Double], target: Double): Array[Double] = {
+      var speed = overall(del)
+      var guard = 0
+      while (speed > target && guard < maxIter) {
+        guard += 1
+        // least speed reduction first; tie-break deterministically by name
+        var best = -1
+        var bestSpeed = 0.0
+        var i = 0
+        while (i < erodible.size) {
+          val d = del(i)
+          if (d < 1.0 - 1e-9) {
+            del(i) = math.min(1.0, d + Step)
+            val sp = overall(del)
+            del(i) = d
+            if (best < 0 || sp > bestSpeed || (sp == bestSpeed && names(i) > names(best))) {
+              best = i
+              bestSpeed = sp
+            }
+          }
+          i += 1
+        }
+        if (best < 0) return del
+        del(best) = math.min(1.0, del(best) + Step)
+        speed = bestSpeed
+      }
+      del
+    }
   }
 
   /** Power-law target speed for age x (x >= 1). */
@@ -89,21 +170,8 @@ object Erosion {
     */
   def erodeToTarget(tree: FormatTree, consumers: Seq[ErosionConsumer],
                     start: Deletion, target: Double): Deletion = {
-    var del = tree.formats.filterNot(_ == tree.root).map(sf => sf -> start.getOrElse(sf, 0.0)).toMap
-    var guard = 0
-    val maxIter = (tree.formats.size / Step).toInt + 200
-    while (overallSpeed(tree, del, consumers) > target && guard < maxIter) {
-      guard += 1
-      val candidates = del.collect { case (sf, d) if d < 1.0 - 1e-9 =>
-        val d2 = del.updated(sf, math.min(1.0, d + Step))
-        (sf, d2, overallSpeed(tree, d2, consumers))
-      }
-      if (candidates.isEmpty) return del
-      // least speed reduction first; tie-break deterministically
-      val (_, d2, _) = candidates.maxBy { case (sf, _, sp) => (sp, sf.toString) }
-      del = d2
-    }
-    del
+    val kernel = new Kernel(tree, consumers)
+    kernel.toDeletion(kernel.erode(kernel.erodibleDeletions(start), target))
   }
 
   /** The full plan: cumulative deletion per format for each age 1..lifespan. */
@@ -115,21 +183,24 @@ object Erosion {
     def totalBytes(bytesPerDay: Map[StorageFormat, Double], root: StorageFormat): Double =
       bytesPerAge(bytesPerDay).sum
     /** Overall speed per age under this plan. */
-    def speeds(tree: FormatTree, consumers: Seq[ErosionConsumer]): Vector[Double] =
-      perAge.map(overallSpeed(tree, _, consumers))
+    def speeds(tree: FormatTree, consumers: Seq[ErosionConsumer]): Vector[Double] = {
+      val kernel = new Kernel(tree, consumers)
+      perAge.map(del => kernel.overall(kernel.deletions(del)))
+    }
   }
 
   /** Build the per-age plan for one decay factor k. Deletions accumulate:
     * age x starts from age x-1's state.
     */
   def planForK(tree: FormatTree, consumers: Seq[ErosionConsumer],
-               lifespanDays: Int, k: Double): Plan = {
-    val pmin = pMin(tree, consumers)
-    var del: Deletion = Map.empty
+               lifespanDays: Int, k: Double): Plan =
+    planForK(new Kernel(tree, consumers), lifespanDays, k)
+
+  private def planForK(kernel: Kernel, lifespanDays: Int, k: Double): Plan = {
+    val pmin = kernel.pMin
+    val del = kernel.erodibleDeletions(Map.empty)
     val ages = (1 to lifespanDays).map { x =>
-      val target = targetSpeed(x, k, pmin)
-      del = erodeToTarget(tree, consumers, del, target)
-      del
+      kernel.toDeletion(kernel.erode(del, targetSpeed(x, k, pmin)))
     }.toVector
     Plan(k, pmin, ages)
   }
@@ -141,8 +212,9 @@ object Erosion {
   def derivePlan(tree: FormatTree, consumers: Seq[ErosionConsumer],
                  bytesPerDay: Map[StorageFormat, Double], lifespanDays: Int,
                  budgetBytes: Double): Plan = {
+    val kernel = new Kernel(tree, consumers)
     def fits(k: Double): (Plan, Boolean) = {
-      val p = planForK(tree, consumers, lifespanDays, k)
+      val p = planForK(kernel, lifespanDays, k)
       (p, p.totalBytes(bytesPerDay, tree.root) <= budgetBytes)
     }
     val (p0, ok0) = fits(0.0)

@@ -47,6 +47,7 @@ final class Profiler(backend: Profiler.AnalyticOpBackend, video: VideoProfile) {
 
   private val opMemo = mutable.Map.empty[(String, Fidelity), OpProfile]
   private val sfMemo = mutable.Map.empty[StorageFormat, SfProfile]
+  private val orderMemo = mutable.Map.empty[Fidelity, Vector[Coding]]
 
   /** Number of operator profiling runs actually executed (memo misses). */
   var opRuns: Int = 0
@@ -54,8 +55,11 @@ final class Profiler(backend: Profiler.AnalyticOpBackend, video: VideoProfile) {
     * preparing the sample plus consuming it at the operator's speed.
     */
   var opDelaySec: Double = 0.0
-  /** Storage-format profiles: executed runs and total examinations. */
+  /** Storage-format profiles: executed runs (memo misses). */
   var sfRuns: Int = 0
+  /** Storage-format examinations: every `profileSf` request, hit or miss.
+    * A `codingsBySize` memo hit reads no profile and is not an examination.
+    */
   var sfExamined: Int = 0
 
   /** Profile (operator, fidelity); memoized across accuracy levels of the
@@ -83,4 +87,13 @@ final class Profiler(backend: Profiler.AnalyticOpBackend, video: VideoProfile) {
       SfProfile(CodecModel.storedBytesPerSec(sf, video), CodecModel.ingestCores(sf, video))
     })
   }
+
+  /** The encoded codings of fidelity `f`, smallest profiled size first (a
+    * stable sort, so equal sizes keep `Coding.space` order). Memoized per
+    * fidelity: the first call profiles every encoded format of `f`, later
+    * calls profile nothing.
+    */
+  def codingsBySize(f: Fidelity): Vector[Coding] =
+    orderMemo.getOrElseUpdate(f,
+      Coding.space.filterNot(_.isRaw).sortBy(c => profileSf(StorageFormat(f, c)).bytesPerSec))
 }

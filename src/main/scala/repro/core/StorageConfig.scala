@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.mutable
 import repro.video.Knobs._
 import repro.video.{CodecModel, Formats}
 import repro.video.Formats._
@@ -67,19 +68,17 @@ object StorageConfig {
 
   /** Smallest-size coding for fidelity `f` whose storage format `admit`s and
     * whose retrieval speed beats every demand; RAW if no encoded option
-    * suffices (R2 case b). Candidates are ordered by stored size (profiled;
-    * the profiler memoizes), so the pick minimizes storage under the
-    * constraints. Returns None when even RAW is not adequate.
+    * suffices (R2 case b). Candidates come in `Profiler.codingsBySize`
+    * order, which profiles `f`'s encoded formats once per profiler, so the
+    * pick minimizes storage under the constraints. Returns None when even
+    * RAW is not adequate.
     */
   def cheapestAdequateCoding(profiler: Profiler, f: Fidelity, demands: Seq[Demand],
-                             admit: StorageFormat => Boolean = _ => true): Option[Coding] = {
-    val bySize = Coding.space.filterNot(_.isRaw)
-      .sortBy(c => profiler.profileSf(StorageFormat(f, c)).bytesPerSec)
-    (bySize :+ Raw).find { c =>
+                             admit: StorageFormat => Boolean = _ => true): Option[Coding] =
+    (profiler.codingsBySize(f) :+ Raw).find { c =>
       val sf = StorageFormat(f, c)
       demands.forall(retrievalOk(sf, _)) && admit(sf)
     }
-  }
 
   /** R2: retrieval at the demand's sampling rate must exceed its fastest
     * consumer's consumption speed.
@@ -110,44 +109,65 @@ object StorageConfig {
     perCf.toVector :+ Node(Formats.golden(demands.map(_.cf)), Set.empty)
   }
 
-  /** A candidate merge of nodes `i` < `j` into `node`, with the total
+  /** A working node with its integer id and profiled storage and ingest
+    * cost. A merge or a coding tune makes a new node with a fresh id.
+    */
+  private final case class Slot(id: Int, node: Node, bytes: Double, cores: Double)
+
+  /** A candidate merge of slots `i` < `j` into `slot`, with the total
     * storage and ingest cost the node set would have after it.
     */
-  private final case class Merge(i: Int, j: Int, node: Node, storage: Double, ingest: Double)
+  private final case class Merge(i: Int, j: Int, slot: Slot, storage: Double, ingest: Double)
 
   /** Run greedy coalescing. `ingestBudgetCores` of None means "minimize
     * storage with no ingest constraint" (the paper's end-to-end setup).
+    *
+    * A pair's merge depends only on its two nodes: the demands are fixed,
+    * and phase 2's filter reads the pair's own ingest and the golden
+    * fidelity, which phase 2 never changes. So each phase keeps a table of
+    * merges keyed by the pair's ids, and a round evaluates only the pairs
+    * it has not seen (lazy re-evaluation, Minoux 1978). Totals are rebuilt
+    * every round in pair order, so ties break as a full re-evaluation would.
     */
   def derive(profiler: Profiler, consumers: Seq[(Consumer, ConsumptionFormat, Double)],
              ingestBudgetCores: Option[Double] = None): Result = {
     val ds = demands(consumers)
     val demandOf = ds.map(d => d.cf -> d).toMap
-    def bytes(n: Node): Double = profiler.profileSf(n.sf).bytesPerSec
-    def cores(n: Node): Double = profiler.profileSf(n.sf).ingestCores
-    var nodes = initialNodes(profiler, ds)
+    var nextId = 0
+    def slot(n: Node): Slot = {
+      val p = profiler.profileSf(n.sf)
+      nextId += 1
+      Slot(nextId - 1, n, p.bytesPerSec, p.ingestCores)
+    }
+    var slots = initialNodes(profiler, ds).map(slot)
     var rounds = 0
-    def storage: Double = nodes.map(bytes).sum
-    def ingest: Double = nodes.map(cores).sum
+    def storage: Double = slots.map(_.bytes).sum
+    def ingest: Double = slots.map(_.cores).sum
 
-    // every pair merge whose coding `admit` accepts, in pair order
-    def merges(admit: (Node, Node) => StorageFormat => Boolean): Seq[Merge] = {
+    // every pair merge whose coding `admit` accepts, in pair order; `table`
+    // holds each pair's merge (None: no admitted coding) by (id(a) << 32) | id(b)
+    def merges(table: mutable.LongMap[Option[Slot]],
+               admit: (Slot, Slot) => StorageFormat => Boolean): Seq[Merge] = {
       val (st, in) = (storage, ingest)
       for {
-        i <- nodes.indices
-        j <- nodes.indices if j > i
-        (a, b) = (nodes(i), nodes(j))
-        m <- coalescePair(profiler, a, b, demandOf, admit(a, b))
-      } yield Merge(i, j, m, st - bytes(a) - bytes(b) + bytes(m), in - cores(a) - cores(b) + cores(m))
+        i <- slots.indices
+        j <- slots.indices if j > i
+        (a, b) = (slots(i), slots(j))
+        m <- table.getOrElseUpdate((a.id.toLong << 32) | b.id,
+          coalescePair(profiler, a.node, b.node, demandOf, admit(a, b)).map(slot))
+      } yield Merge(i, j, m, st - a.bytes - b.bytes + m.bytes, in - a.cores - b.cores + m.cores)
     }
     def apply(m: Merge): Unit = {
-      nodes = nodes.zipWithIndex.collect { case (n, k) if k != m.i && k != m.j => n } :+ m.node
+      slots = slots.zipWithIndex.collect { case (s, k) if k != m.i && k != m.j => s } :+ m.slot
       rounds += 1
     }
 
     // Phase 1: coalesce while some pair reduces ingest without raising storage.
+    val freeMerges = mutable.LongMap.empty[Option[Slot]]
     def coalesceFree(): Boolean = {
       val (st, in) = (storage, ingest)
-      merges((_, _) => _ => true).filter(m => m.storage <= st + 1e-9 && m.ingest < in - 1e-12)
+      merges(freeMerges, (_, _) => _ => true)
+        .filter(m => m.storage <= st + 1e-9 && m.ingest < in - 1e-12)
         .minByOption(_.ingest).map(apply).isDefined
     }
     while (coalesceFree()) ()
@@ -157,21 +177,23 @@ object StorageConfig {
     // fidelity is the erosion anchor (§4.4) and is never stored RAW: its
     // raw footprint would dwarf every other cost.
     ingestBudgetCores.foreach { budget =>
-      val goldenFid = root(nodes.map(_.sf)).fidelity
+      val goldenFid = root(slots.map(_.node.sf)).fidelity
       def noRawGolden(sf: StorageFormat): Boolean = !(sf.coding.isRaw && sf.fidelity == goldenFid)
       // a budget merge only helps if it lowers ingest below the pair's own cost
-      def cheaperThanPair(a: Node, b: Node): StorageFormat => Boolean = {
-        val pairIngest = cores(a) + cores(b)
+      def cheaperThanPair(a: Slot, b: Slot): StorageFormat => Boolean = {
+        val pairIngest = a.cores + b.cores
         sf => noRawGolden(sf) && profiler.profileSf(sf).ingestCores < pairIngest - 1e-12
       }
-      def tuneOrCoalesce(): Boolean = bestCodingTune(profiler, nodes, demandOf, noRawGolden) match {
-        case Some((idx, node)) => nodes = nodes.updated(idx, node); true
-        case None => merges(cheaperThanPair).minByOption(_.storage).map(apply).isDefined
-      }
+      val budgetMerges = mutable.LongMap.empty[Option[Slot]]
+      def tuneOrCoalesce(): Boolean =
+        bestCodingTune(profiler, slots.map(_.node), demandOf, noRawGolden) match {
+          case Some((idx, node)) => slots = slots.updated(idx, slot(node)); true
+          case None => merges(budgetMerges, cheaperThanPair).minByOption(_.storage).map(apply).isDefined
+        }
       while (ingest > budget && tuneOrCoalesce()) ()
     }
 
-    Result(nodes, rounds)
+    Result(slots.map(_.node), rounds)
   }
 
   /** One coding-tuning move for the ingest budget: among all nodes, step one

@@ -137,8 +137,10 @@ object OperatorModel {
   /** The accuracy levels declared by the admin (paper §6.1). */
   val accuracyLevels: Vector[Double] = Vector(0.95, 0.90, 0.80, 0.70)
 
-  /** A consumer: one operator at one target accuracy. */
+  /** A consumer: one operator at one target accuracy, in (0, 1]. */
   final case class Consumer(op: Operator, targetAccuracy: Double) {
+    require(targetAccuracy > 0 && targetAccuracy <= 1,
+      s"consumer target accuracy must be in (0, 1], got $targetAccuracy for ${op.name}")
     override def toString: String = f"<${op.name}, ${targetAccuracy}%.2f>"
   }
 

@@ -41,6 +41,15 @@ class ConfiguratorSpec extends AnyFunSuite {
     assert(e.getMessage.contains(unknown.toString), e.getMessage)
   }
 
+  test("a consumer target outside (0, 1] fails with a named error") {
+    for (target <- Seq(0.0, -0.1, 1.5)) {
+      val e = intercept[IllegalArgumentException](
+        VStoreConfigurator.derive(Seq(Consumer(OperatorModel.License, target))))
+      assert(e.getMessage.contains("target accuracy must be in (0, 1]") &&
+        e.getMessage.contains(s"got $target"), e.getMessage)
+    }
+  }
+
   test("the configuration has >100 knob settings (Table 2: 124 knobs)") {
     val cfKnobs = cfg.uniqueCfs.size * 4
     val sfKnobs = cfg.sfs.map(sf => if (sf.coding.isRaw) 5 else 7).sum

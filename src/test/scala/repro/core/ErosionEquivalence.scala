@@ -1,0 +1,186 @@
+package repro.core
+
+import scala.util.Random
+import org.scalatest.funsuite.AnyFunSuite
+import repro.core.Erosion._
+import repro.report.Reports
+import repro.video.Formats
+import repro.video.Formats._
+import repro.video.Knobs._
+import repro.video.{OperatorModel, VideoProfile}
+
+/** `Erosion`'s indexed kernel against a reference copy of the earlier
+  * Map-based §4.4 code: `relativeSpeed`, `overallSpeed`, `pMin`,
+  * `erodeToTarget`, `planForK` and `derivePlan`. Plans must be equal in k,
+  * pmin and every per-age deletion map, and speeds equal to the bit.
+  */
+class ErosionEquivalence extends AnyFunSuite {
+
+  private val shares = Seq(1.1, 0.8, 0.6, 0.4)
+  private val lifespan = Reports.fig12LifespanDays
+
+  /** The default consumers plus 50 seeded subsets, each under every
+    * Table 3 ingest budget: (label, tree, consumers, bytes per day).
+    */
+  private lazy val cases = {
+    val rng = new Random(4404)
+    val subsets = Seq.fill(50)(rng.shuffle(OperatorModel.consumers).take(1 + rng.nextInt(24)))
+    for {
+      (consumers, n) <- (OperatorModel.consumers +: subsets).zipWithIndex
+      budget <- Reports.table3Budgets
+    } yield {
+      val cfg = VStoreConfigurator.derive(consumers, budget)
+      val (tree, ecs) = VStoreConfigurator.erosionInputs(cfg)
+      (s"set $n (${consumers.size} consumers), budget $budget", tree, ecs,
+        VStoreConfigurator.bytesPerDay(cfg, VideoProfile.jackson))
+    }
+  }
+
+  test("derivePlan equals the reference at erosion shares 1.1, 0.8, 0.6 and 0.4") {
+    val mismatches = for {
+      (label, tree, ecs, bpd) <- cases
+      share <- shares
+      budgetBytes = share * bpd.values.sum * lifespan
+      (got, want) = (derivePlan(tree, ecs, bpd, lifespan, budgetBytes),
+        Reference.derivePlan(tree, ecs, bpd, lifespan, budgetBytes))
+      if got != want
+    } yield s"$label, share $share: k ${got.k} vs ${want.k}, pmin ${got.pmin} vs ${want.pmin}"
+    assert(mismatches.isEmpty, s"${mismatches.size} of ${cases.size * shares.size}: " +
+      mismatches.take(3).mkString("; "))
+  }
+
+  test("planForK, pMin and the per-age speeds equal the reference") {
+    val mismatches = for {
+      (label, tree, ecs, _) <- cases
+      k <- Seq(0.5, 2.0, KMax)
+      (got, want) = (planForK(tree, ecs, lifespan, k), Reference.planForK(tree, ecs, lifespan, k))
+      wantSpeeds = want.perAge.map(Reference.overallSpeed(tree, _, ecs))
+      if got != want || pMin(tree, ecs) != Reference.pMin(tree, ecs) ||
+        got.speeds(tree, ecs) != wantSpeeds ||
+        want.perAge.exists(del =>
+          ecs.exists(c => relativeSpeed(tree, del, c) != Reference.relativeSpeed(tree, del, c)))
+    } yield s"$label, k $k"
+    assert(mismatches.isEmpty, mismatches.take(3).mkString("; "))
+  }
+
+  test("erodeToTarget equals the reference from non-empty start states") {
+    val rng = new Random(4405)
+    val mismatches = for {
+      (label, tree, ecs, _) <- cases
+      erodible = tree.formats.filterNot(_ == tree.root)
+      // a random prefix state in Step multiples, plus entries the planner
+      // must ignore: the root and a format outside the tree
+      start = erodible.map(sf => sf -> (rng.nextInt(21) * 0.05).min(1.0)).toMap +
+        (tree.root -> 0.5) + (StorageFormat(tree.root.fidelity, Raw) -> 0.3)
+      target <- Seq(0.9, 0.5, 0.2, 0.0)
+      (got, want) = (erodeToTarget(tree, ecs, start, target),
+        Reference.erodeToTarget(tree, ecs, start, target))
+      if got != want
+    } yield s"$label, target $target: $got vs $want"
+    assert(mismatches.isEmpty, mismatches.take(3).mkString("; "))
+  }
+
+  test("equal speeds break by format name, as in the reference") {
+    // two mirror-image consumers on two incomparable children of the root:
+    // every other step is a tie, and its winner decides the odd step
+    def fid(h: Int, s: FrameSampling) =
+      Fidelity(ImageQuality.Best, CropFactor.C100, Resolution.ten.find(_.height == h).get, s)
+    val root = StorageFormat(Fidelity.full, Coding.slowestSmallest)
+    val a = StorageFormat(fid(540, FrameSampling.S1_30), Raw)
+    val b = StorageFormat(fid(200, FrameSampling.S1), Raw)
+    val tree = Formats.buildTree(root, Seq(a, b))
+    val ecs = Seq(ErosionConsumer("x", a, 100, Map(a -> 1000.0, root -> 10.0)),
+      ErosionConsumer("y", b, 100, Map(b -> 1000.0, root -> 10.0)))
+    val outcomes = for (target <- Seq(0.9, 0.7, 0.5, 0.3, 0.2)) yield {
+      val got = erodeToTarget(tree, ecs, Map.empty, target)
+      assert(got === Reference.erodeToTarget(tree, ecs, Map.empty, target), s"target $target")
+      got
+    }
+    assert(outcomes.exists(del => del(a) != del(b)), "no target ends on a tie-broken step")
+  }
+
+  /** The earlier Map-based implementation, kept only as the oracle of this
+    * suite. `Step`, `Tol` and `KMax` are the planner's constants.
+    */
+  private object Reference {
+    private val Step = 0.05
+    private val Tol = 0.01
+
+    def relativeSpeed(tree: FormatTree, del: Deletion, c: ErosionConsumer): Double = {
+      val chain = c.subscribed :: tree.ancestors(c.subscribed)
+      val orig = c.effectiveSpeed(c.subscribed)
+      if (orig <= 0) return 1.0
+      val deleted = chain.map(sf => math.max(0.0, del.getOrElse(sf, 0.0)))
+      var minBelow = 1.0
+      var time = 0.0
+      chain.zip(deleted).zipWithIndex.foreach { case ((sf, d), i) =>
+        val frac = if (i == 0) 1.0 - d else math.max(0.0, minBelow - d)
+        if (frac > 0) {
+          val alpha = math.min(1.0, c.effectiveSpeed(sf) / orig)
+          time += frac / math.max(alpha, 1e-9)
+        }
+        minBelow = math.min(minBelow, d)
+      }
+      if (time <= 0) 1.0 else math.min(1.0, 1.0 / time)
+    }
+
+    def overallSpeed(tree: FormatTree, del: Deletion, consumers: Seq[ErosionConsumer]): Double =
+      if (consumers.isEmpty) 1.0 else consumers.map(relativeSpeed(tree, del, _)).min
+
+    def pMin(tree: FormatTree, consumers: Seq[ErosionConsumer]): Double = {
+      val allGone: Deletion = tree.formats.filterNot(_ == tree.root).map(_ -> 1.0).toMap
+      overallSpeed(tree, allGone, consumers)
+    }
+
+    def erodeToTarget(tree: FormatTree, consumers: Seq[ErosionConsumer],
+                      start: Deletion, target: Double): Deletion = {
+      var del = tree.formats.filterNot(_ == tree.root).map(sf => sf -> start.getOrElse(sf, 0.0)).toMap
+      var guard = 0
+      val maxIter = (tree.formats.size / Step).toInt + 200
+      while (overallSpeed(tree, del, consumers) > target && guard < maxIter) {
+        guard += 1
+        val candidates = del.collect { case (sf, d) if d < 1.0 - 1e-9 =>
+          val d2 = del.updated(sf, math.min(1.0, d + Step))
+          (sf, d2, overallSpeed(tree, d2, consumers))
+        }
+        if (candidates.isEmpty) return del
+        val (_, d2, _) = candidates.maxBy { case (sf, _, sp) => (sp, sf.toString) }
+        del = d2
+      }
+      del
+    }
+
+    def planForK(tree: FormatTree, consumers: Seq[ErosionConsumer],
+                 lifespanDays: Int, k: Double): Plan = {
+      val pmin = pMin(tree, consumers)
+      var del: Deletion = Map.empty
+      val ages = (1 to lifespanDays).map { x =>
+        del = erodeToTarget(tree, consumers, del, targetSpeed(x, k, pmin))
+        del
+      }.toVector
+      Plan(k, pmin, ages)
+    }
+
+    def derivePlan(tree: FormatTree, consumers: Seq[ErosionConsumer],
+                   bytesPerDay: Map[StorageFormat, Double], lifespanDays: Int,
+                   budgetBytes: Double): Plan = {
+      def fits(k: Double): (Plan, Boolean) = {
+        val p = planForK(tree, consumers, lifespanDays, k)
+        (p, p.bytesPerAge(bytesPerDay).sum <= budgetBytes)
+      }
+      val (p0, ok0) = fits(0.0)
+      if (ok0) return p0
+      val (pMaxPlan, okMax) = fits(KMax)
+      if (!okMax) return pMaxPlan
+      var lo = 0.0
+      var hi = KMax
+      var best = pMaxPlan
+      while (hi - lo > Tol) {
+        val mid = (lo + hi) / 2
+        val (p, ok) = fits(mid)
+        if (ok) { best = p; hi = mid } else lo = mid
+      }
+      best
+    }
+  }
+}

@@ -61,6 +61,25 @@ class ProfilerSpec extends AnyFunSuite {
     assert(p.sfRuns === 1 && p.sfExamined === 2)
   }
 
+  test("codingsBySize is the encoded codings sorted by profiled size, for every fidelity") {
+    val p = fresh()
+    val encoded = Coding.space.filterNot(_.isRaw)
+    Fidelity.space.foreach { f =>
+      val want = encoded.sortBy(c => p.profileSf(StorageFormat(f, c)).bytesPerSec)
+      assert(p.codingsBySize(f) === want, f.toString)
+    }
+  }
+
+  test("codingsBySize profiles a fidelity once; a second call adds no runs or examinations") {
+    val p = fresh()
+    val f = Fidelity.full
+    p.codingsBySize(f)
+    assert(p.sfRuns === Coding.space.count(!_.isRaw))
+    val (runs, examined) = (p.sfRuns, p.sfExamined)
+    p.codingsBySize(f)
+    assert(p.sfRuns === runs && p.sfExamined === examined)
+  }
+
   test("sf profile reports model size and ingest cores") {
     val p = fresh()
     val sf = StorageFormat(Fidelity.full, Coding.slowestSmallest)

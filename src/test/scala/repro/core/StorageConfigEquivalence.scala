@@ -12,9 +12,12 @@ import repro.video.OperatorModel.Consumer
 
 /** `StorageConfig.derive` and `deriveExhaustive` against a reference copy of
   * the earlier §4.3 loop — a closure-driven `bestMerge` plus `bestCodingTune`
-  * — and of the earlier enumeration that modelled the golden format as a
-  * phantom CF. Both references call the shared primitives (`demands`,
-  * `initialNodes`, `coalescePair`, `cheapestAdequateCoding`, `retrievalOk`).
+  * that re-coalesces every pair each round — and of the earlier enumeration
+  * that modelled the golden format as a phantom CF. The references keep
+  * their own copies of `initialNodes`, `coalescePair` and a
+  * `cheapestAdequateCoding` that sorts the codings on every call, so their
+  * `sfExamined` is the earlier code's; they share `demands`, `retrievalOk`
+  * and `nextCheaperCoding`.
   */
 class StorageConfigEquivalence extends AnyFunSuite {
 
@@ -26,6 +29,7 @@ class StorageConfigEquivalence extends AnyFunSuite {
 
   private val budgets: Seq[Option[Double]] = Reports.table3Budgets ++ Seq(Some(0.25), Some(0.05))
 
+  // also: no more sfExamined than the reference, which re-sorts codings per call
   test("derive equals the reference loop, with equal sfRuns, on 51 consumer sets x 11 budgets") {
     val rng = new Random(4302)
     val subsets = Seq.fill(50)(rng.shuffle(OperatorModel.consumers).take(1 + rng.nextInt(24)))
@@ -35,9 +39,10 @@ class StorageConfigEquivalence extends AnyFunSuite {
       budget <- budgets
       (p, ref) = (profiler(), profiler())
       (got, want) = (derive(p, triples, budget), Reference.derive(ref, triples, budget))
-      if got != want || p.sfRuns != ref.sfRuns
+      if got != want || p.sfRuns != ref.sfRuns || p.sfExamined > ref.sfExamined
     } yield s"${consumers.size} consumers, budget $budget: rounds ${got.rounds} vs ${want.rounds}, " +
-      s"sfRuns ${p.sfRuns} vs ${ref.sfRuns}\n  got  ${got.sfs}\n  want ${want.sfs}"
+      s"sfRuns ${p.sfRuns} vs ${ref.sfRuns}, sfExamined ${p.sfExamined} vs ${ref.sfExamined}" +
+      s"\n  got  ${got.sfs}\n  want ${want.sfs}"
     assert(mismatches.isEmpty, mismatches.take(3).mkString("\n"))
   }
 
@@ -54,6 +59,31 @@ class StorageConfigEquivalence extends AnyFunSuite {
 
   /** The earlier implementation, kept only as the oracle of this suite. */
   private object Reference {
+
+    private def cheapestAdequateCoding(profiler: Profiler, f: Fidelity, demands: Seq[Demand],
+                                       admit: StorageFormat => Boolean = _ => true): Option[Coding] = {
+      val bySize = Coding.space.filterNot(_.isRaw)
+        .sortBy(c => profiler.profileSf(StorageFormat(f, c)).bytesPerSec)
+      (bySize :+ Raw).find { c =>
+        val sf = StorageFormat(f, c)
+        demands.forall(retrievalOk(sf, _)) && admit(sf)
+      }
+    }
+
+    private def coalescePair(profiler: Profiler, a: Node, b: Node,
+                             demandOf: Map[ConsumptionFormat, Demand],
+                             admit: StorageFormat => Boolean): Option[Node] = {
+      val f2 = Fidelity.max(a.sf.fidelity, b.sf.fidelity)
+      val cfs = a.cfs ++ b.cfs
+      cheapestAdequateCoding(profiler, f2, cfs.toSeq.map(demandOf), admit)
+        .map(c => Node(StorageFormat(f2, c), cfs))
+    }
+
+    private def initialNodes(profiler: Profiler, demands: Seq[Demand]): Vector[Node] =
+      demands.map { d =>
+        val coding = cheapestAdequateCoding(profiler, d.cf.fidelity, Seq(d)).getOrElse(Raw)
+        Node(StorageFormat(d.cf.fidelity, coding), Set(d.cf))
+      }.toVector :+ Node(Formats.golden(demands.map(_.cf)), Set.empty)
 
     private def storageCost(profiler: Profiler, nodes: Seq[Node]): Double =
       nodes.map(n => profiler.profileSf(n.sf).bytesPerSec).sum
