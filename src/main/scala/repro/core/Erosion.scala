@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.annotation.unused
 import repro.video.Formats._
 
 /** §4.4 — age-based data erosion.
@@ -41,15 +42,9 @@ object Erosion {
   /** Deleted fraction per storage format at one age (cumulative). */
   type Deletion = Map[StorageFormat, Double]
 
-  /** Relative speed of one consumer under a deletion state. Deletions are
-    * nested oldest-first prefixes, so the fraction of segments a consumer
-    * reads from each tree level is the difference of consecutive deleted
-    * fractions along its fallback chain (the root is never eroded).
+  /** Overall speed: the minimum relative speed across consumers (max-min);
+    * one consumer's relative speed is `Chain.speed`.
     */
-  def relativeSpeed(tree: FormatTree, del: Deletion, c: ErosionConsumer): Double =
-    overallSpeed(tree, del, Seq(c))
-
-  /** Overall speed: the minimum relative speed across consumers (max-min). */
   def overallSpeed(tree: FormatTree, del: Deletion, consumers: Seq[ErosionConsumer]): Double = {
     val kernel = new Kernel(tree, consumers)
     kernel.overall(kernel.deletions(del))
@@ -86,16 +81,18 @@ object Erosion {
     }
   }
 
-  /** The erosion kernel for one tree and consumer set. Formats are indexed
-    * once, the tree's non-root (erodible) formats first at 0 until
-    * `erodible.size`, then the root and any subscribed format outside the
-    * tree; deletion states are arrays over that index. Each consumer's chain
-    * and each erodible format's name are computed here, once.
+  /** The erosion kernel for one tree and consumer set. The tree's formats
+    * are indexed once, the non-root (erodible) formats first at 0 until
+    * `erodible.size`, then the root; deletion states are arrays over that
+    * index. Each consumer's chain and each erodible format's name are
+    * computed here, once.
     */
   private final class Kernel(tree: FormatTree, consumers: Seq[ErosionConsumer]) {
     private val erodible = tree.formats.filterNot(_ == tree.root)
-    private val formats = (erodible ++ (tree.root +: consumers.map(_.subscribed))).distinct
+    private val formats = erodible :+ tree.root
     private val indexOf = formats.zipWithIndex.toMap
+    consumers.foreach(c => require(indexOf.contains(c.subscribed),
+      s"erosion: consumer ${c.name} subscribes to ${c.subscribed}, which is not in the format tree"))
     private val names = erodible.map(_.toString).toArray
     private val maxIter = (tree.formats.size / Step).toInt + 200
     private val chains: Array[Chain] = consumers.map { c =>
@@ -107,9 +104,6 @@ object Erosion {
 
     /** A deletion state as an array; formats it does not name are intact. */
     def deletions(del: Deletion): Array[Double] = formats.map(del.getOrElse(_, 0.0)).toArray
-    /** Only the erodible formats' entries of `del`: a start state. */
-    def erodibleDeletions(del: Deletion): Array[Double] =
-      Array.tabulate(formats.size)(i => if (i < erodible.size) del.getOrElse(formats(i), 0.0) else 0.0)
     /** The erodible formats' entries of `del` as a `Deletion`. */
     def toDeletion(del: Array[Double]): Deletion = erodible.indices.map(i => erodible(i) -> del(i)).toMap
 
@@ -126,9 +120,13 @@ object Erosion {
     }
 
     /** Overall speed with every erodible format deleted. */
-    def pMin: Double = overall(erodibleDeletions(erodible.map(_ -> 1.0).toMap))
+    def pMin: Double = overall(deletions(erodible.map(_ -> 1.0).toMap))
 
-    /** `erodeToTarget` on this kernel's arrays; erodes `del` in place. */
+    /** Erode `del` in place, greedily, until overall speed <= `target`, in
+      * `Step`-sized deletion increments, always picking the format whose
+      * next increment reduces the overall speed the least (fair-scheduler
+      * spirit: spread decay evenly; never touch the root).
+      */
     def erode(del: Array[Double], target: Double): Array[Double] = {
       var speed = overall(del)
       var guard = 0
@@ -163,24 +161,13 @@ object Erosion {
   def targetSpeed(x: Int, k: Double, pmin: Double): Double =
     (1.0 - pmin) * math.pow(x.toDouble, -k) + pmin
 
-  /** Erode greedily from `start` until overall speed <= `target`, in
-    * `Step`-sized deletion increments, always picking the format whose next
-    * increment reduces the overall speed the least (fair-scheduler spirit:
-    * spread decay evenly; never touch the root).
-    */
-  def erodeToTarget(tree: FormatTree, consumers: Seq[ErosionConsumer],
-                    start: Deletion, target: Double): Deletion = {
-    val kernel = new Kernel(tree, consumers)
-    kernel.toDeletion(kernel.erode(kernel.erodibleDeletions(start), target))
-  }
-
   /** The full plan: cumulative deletion per format for each age 1..lifespan. */
   final case class Plan(k: Double, pmin: Double, perAge: Vector[Deletion]) {
     /** Stored bytes at each age given per-format bytes/day. */
     def bytesPerAge(bytesPerDay: Map[StorageFormat, Double]): Vector[Double] =
       perAge.map(del => bytesPerDay.map { case (sf, b) => b * (1.0 - del.getOrElse(sf, 0.0)) }.sum)
-    /** Total stored bytes over the lifespan; `root` is unused. */
-    def totalBytes(bytesPerDay: Map[StorageFormat, Double], root: StorageFormat): Double =
+    /** Total stored bytes over the lifespan; `root` is unused (perfbench passes it). */
+    def totalBytes(bytesPerDay: Map[StorageFormat, Double], @unused root: StorageFormat): Double =
       bytesPerAge(bytesPerDay).sum
     /** Overall speed per age under this plan. */
     def speeds(tree: FormatTree, consumers: Seq[ErosionConsumer]): Vector[Double] = {
@@ -198,7 +185,7 @@ object Erosion {
 
   private def planForK(kernel: Kernel, lifespanDays: Int, k: Double): Plan = {
     val pmin = kernel.pMin
-    val del = kernel.erodibleDeletions(Map.empty)
+    val del = kernel.deletions(Map.empty)
     val ages = (1 to lifespanDays).map { x =>
       kernel.toDeletion(kernel.erode(del, targetSpeed(x, k, pmin)))
     }.toVector

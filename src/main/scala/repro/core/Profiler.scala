@@ -23,9 +23,8 @@ object Profiler {
   final case class OpProfile(accuracy: Double, consumptionCost: Double)
 
   /** Result of profiling one storage format: stored size (bytes per video
-    * second) and a function-free snapshot of decode speed at each consumer
-    * sampling rate is derivable from the format itself, so we keep size and
-    * the encode cost here.
+    * second) and encode cost (cores per stream). Decode speed is not kept:
+    * it follows from the format itself (`CodecModel.retrievalSpeed`).
     */
   final case class SfProfile(bytesPerSec: Double, ingestCores: Double)
 
@@ -50,13 +49,13 @@ final class Profiler(backend: Profiler.AnalyticOpBackend, video: VideoProfile) {
   private val orderMemo = mutable.Map.empty[Fidelity, Vector[Coding]]
 
   /** Number of operator profiling runs actually executed (memo misses). */
-  var opRuns: Int = 0
+  def opRuns: Int = opMemo.size
   /** Simulated wall-clock seconds spent running operator profiles: decoding/
     * preparing the sample plus consuming it at the operator's speed.
     */
   var opDelaySec: Double = 0.0
   /** Storage-format profiles: executed runs (memo misses). */
-  var sfRuns: Int = 0
+  def sfRuns: Int = sfMemo.size
   /** Storage-format examinations: every `profileSf` request, hit or miss.
     * A `codingsBySize` memo hit reads no profile and is not an examination.
     */
@@ -67,7 +66,6 @@ final class Profiler(backend: Profiler.AnalyticOpBackend, video: VideoProfile) {
     */
   def profileOp(op: Operator, f: Fidelity): OpProfile =
     opMemo.getOrElseUpdate((op.name, f), {
-      opRuns += 1
       val p = backend.run(op, f)
       // preparing the sample (decode at golden-format speed) + running the op
       val goldenDecode = CodecModel.retrievalSpeed(
@@ -82,10 +80,8 @@ final class Profiler(backend: Profiler.AnalyticOpBackend, video: VideoProfile) {
     */
   def profileSf(sf: StorageFormat): SfProfile = {
     sfExamined += 1
-    sfMemo.getOrElseUpdate(sf, {
-      sfRuns += 1
-      SfProfile(CodecModel.storedBytesPerSec(sf, video), CodecModel.ingestCores(sf, video))
-    })
+    sfMemo.getOrElseUpdate(sf,
+      SfProfile(CodecModel.storedBytesPerSec(sf, video), CodecModel.ingestCores(sf, video)))
   }
 
   /** The encoded codings of fidelity `f`, smallest profiled size first (a

@@ -186,7 +186,7 @@ object StorageConfig {
       }
       val budgetMerges = mutable.LongMap.empty[Option[Slot]]
       def tuneOrCoalesce(): Boolean =
-        bestCodingTune(profiler, slots.map(_.node), demandOf, noRawGolden) match {
+        bestCodingTune(profiler, slots, demandOf, noRawGolden) match {
           case Some((idx, node)) => slots = slots.updated(idx, slot(node)); true
           case None => merges(budgetMerges, cheaperThanPair).minByOption(_.storage).map(apply).isDefined
         }
@@ -201,20 +201,22 @@ object StorageConfig {
     * then RAW as the last resort — choosing the node where the move costs
     * the least extra storage per core saved. Cheaper coding decodes faster,
     * so retrieval adequacy is preserved by construction (checked anyway for
-    * the RAW jump). `admit` filters the tuned formats.
+    * the RAW jump). `admit` filters the tuned formats. Each slot's own
+    * cost is its cached profile; only the tuned format is profiled.
     */
-  private def bestCodingTune(profiler: Profiler, nodes: Vector[Node],
+  private def bestCodingTune(profiler: Profiler, slots: Vector[Slot],
                              demandOf: Map[ConsumptionFormat, Demand],
                              admit: StorageFormat => Boolean): Option[(Int, Node)] =
-    nodes.zipWithIndex.flatMap { case (n, idx) =>
+    slots.zipWithIndex.flatMap { case (s, idx) =>
+      val n = s.node
       nextCheaperCoding(n.sf.coding)
         .map(StorageFormat(n.sf.fidelity, _))
         .filter(sf2 => admit(sf2) && n.cfs.forall(cf => retrievalOk(sf2, demandOf(cf))))
         .flatMap { sf2 =>
-          val dIngest = profiler.profileSf(n.sf).ingestCores - profiler.profileSf(sf2).ingestCores
-          val dStorage = profiler.profileSf(sf2).bytesPerSec - profiler.profileSf(n.sf).bytesPerSec
+          val p2 = profiler.profileSf(sf2)
+          val dIngest = s.cores - p2.ingestCores
           if (dIngest <= 0) None
-          else Some((idx, Node(sf2, n.cfs), dStorage / dIngest))
+          else Some((idx, Node(sf2, n.cfs), (p2.bytesPerSec - s.bytes) / dIngest))
         }
     }.minByOption(_._3).map { case (idx, node, _) => (idx, node) }
 

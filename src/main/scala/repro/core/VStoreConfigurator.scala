@@ -52,10 +52,10 @@ object VStoreConfigurator {
              ingestBudgetCores: Option[Double] = None): Configuration = {
     val profA = new Profiler(new Profiler.AnalyticOpBackend(VideoProfile.jackson), VideoProfile.jackson)
     val profB = new Profiler(new Profiler.AnalyticOpBackend(VideoProfile.dashcam), VideoProfile.dashcam)
-    def profFor(op: Operator): Profiler = if (op.engine == "noscope") profA else profB
+    val profilerOf = Map(VideoProfile.jackson -> profA, VideoProfile.dashcam -> profB)
 
     // 1) consumption formats
-    val derived = consumers.map(c => ConsumptionConfig.derive(profFor(c.op), c)).toVector
+    val derived = consumers.map(c => ConsumptionConfig.derive(profilerOf(profilingVideo(c.op)), c)).toVector
 
     // 2) storage formats — a unified set for all operators/videos; the SF
     // profiler uses jackson (size model scale cancels out of the choices)

@@ -52,14 +52,19 @@ object QueryEngine {
     math.min(retr, cons)
   }
 
-  /** Query speed over a cascade: stage i scans the fraction of video that
-    * survived stages 0..i-1 (product of selectivities).
+  /** Analytic query speed over a cascade (see [[cascadeSpeed]]). */
+  def analyticQuerySpeed(stages: Seq[Stage]): Double =
+    cascadeSpeed(stages, stages.map(analyticStageSpeed))
+
+  /** Query speed over a cascade from its stage speeds: stage i scans the
+    * fraction of video that survived stages 0..i-1 (product of
+    * selectivities).
     */
-  def analyticQuerySpeed(stages: Seq[Stage]): Double = {
+  private def cascadeSpeed(stages: Seq[Stage], stageSpeeds: Seq[Double]): Double = {
     var fraction = 1.0
     var timePerVideoSec = 0.0
-    stages.foreach { st =>
-      timePerVideoSec += fraction / analyticStageSpeed(st)
+    stages.lazyZip(stageSpeeds).foreach { (st, speed) =>
+      timePerVideoSec += fraction / speed
       fraction *= st.op.selectivity
     }
     1.0 / timePerVideoSec
@@ -106,22 +111,17 @@ object QueryEngine {
     require(counters(0) > 0, "runCascade: the frame table is empty")
 
     val videoSec = counters(0).toDouble / SynthVideo.Fps
-    var fraction = 1.0
-    var timePerVideoSec = 0.0
     val perOp = stages.zipWithIndex.map { case (st, i) =>
       val (sampled, tp, fn) = (counters(1 + 3 * i), counters(2 + 3 * i), counters(3 + 3 * i))
       // decode/retrieve the whole video at the CF's sampling rate
       val decodeSec = videoSec / CodecModel.retrievalSpeed(st.sf, st.cf.sampling.fps)
       val opSec = sampled * st.op.perFrameSec(st.cf.pixelsPerFrame)
       val f1 = if (tp == 0) 0.0 else 2.0 * tp / (2.0 * tp + fn)
-      // pipelined: the stage's wall time is the max of decode and op time,
-      // over the fraction of video it actually scans
+      // pipelined: the stage's wall time is the max of decode and op time
       val stageSec = math.max(decodeSec, opSec)
-      timePerVideoSec += stageSec * fraction / videoSec
-      fraction *= st.op.selectivity
       st.op.name -> OpResult(f1, sampled, tp, fn, decodeSec, opSec, videoSec / stageSec)
-    }.toMap
-    CascadeResult(perOp, 1.0 / timePerVideoSec)
+    }
+    CascadeResult(perOp.toMap, cascadeSpeed(stages, perOp.map(_._2.stageSpeed)))
   }
 
   /** Build the stages of a cascade from a consumer->CF and CF->SF mapping. */

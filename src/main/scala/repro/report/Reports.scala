@@ -40,8 +40,8 @@ object Reports {
       val c = Consumer(op, acc)
       val d = cfg.derived.find(_.consumer == c).get
       val sf = cfg.sfOf(c)
-      // uncoalesced per-second size of the CF itself, stored at cheapest-
-      // adequate coding (what the paper's CF cells report)
+      // uncoalesced per-second size of the CF itself, stored at the
+      // slowest/smallest coding (what the paper's CF cells report)
       val video = VStoreConfigurator.profilingVideo(op)
       val ownSf = StorageFormat(d.fidelity, Coding.slowestSmallest)
       val kb = CodecModel.storedBytesPerSec(ownSf, video) / 1024.0

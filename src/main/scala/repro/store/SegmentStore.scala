@@ -68,20 +68,16 @@ object SegmentStore {
         StoredSegment(v, seg, i, perSec(i) * segSec * scale, cores(i) * scale * segSec, n)
       }
     }
-    spark.createDataset(catalog)(Encoders.product[StoredSegment])
+    spark.createDataset(catalog)(storedSegmentEncoder)
   }
 
+  /** The catalog row encoder, derived by reflection once. */
+  private val storedSegmentEncoder = Encoders.product[StoredSegment]
+
   /** Total stored bytes per storage format id. */
-  def bytesByFormat(stored: Dataset[StoredSegment]): Map[Int, Double] =
-    sumByFormat(stored, "bytes")
-
-  /** Total encode CPU-seconds per storage format id. */
-  def encodeCpuByFormat(stored: Dataset[StoredSegment]): Map[Int, Double] =
-    sumByFormat(stored, "encodeCpuSec")
-
-  private def sumByFormat(stored: Dataset[StoredSegment], column: String): Map[Int, Double] = {
+  def bytesByFormat(stored: Dataset[StoredSegment]): Map[Int, Double] = {
     import stored.sparkSession.implicits._
-    stored.select(col("sfId"), col(column)).as[(Int, Double)].collect()
+    stored.select(col("sfId"), col("bytes")).as[(Int, Double)].collect()
       .groupMapReduce(_._1)(_._2)(_ + _)
   }
 

@@ -43,8 +43,6 @@ object Formats {
     */
   final case class FormatTree(root: StorageFormat, parent: Map[StorageFormat, StorageFormat]) {
     def formats: Vector[StorageFormat] = (parent.keySet + root).toVector
-    def children(sf: StorageFormat): Vector[StorageFormat] =
-      parent.collect { case (c, p) if p == sf => c }.toVector
     /** Fallback chain from `sf` (exclusive) up to the root (inclusive). */
     def ancestors(sf: StorageFormat): List[StorageFormat] =
       parent.get(sf) match {

@@ -127,9 +127,6 @@ object OperatorModel {
   /** The operator library in a stable order. */
   val all: Vector[Operator] = Vector(Motion, License, OCR, Diff, SNN, NN)
 
-  def byName(n: String): Operator =
-    all.find(_.name == n).getOrElse(throw new NoSuchElementException(s"no operator '$n'"))
-
   /** Query cascades as benchmarked (paper Fig. 2 / §6.1). */
   val queryA: Vector[Operator] = Vector(Diff, SNN, NN)
   val queryB: Vector[Operator] = Vector(Motion, License, OCR)

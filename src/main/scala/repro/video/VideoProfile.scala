@@ -39,7 +39,4 @@ object VideoProfile {
     */
   val queryAVideos: Vector[VideoProfile] = Vector(jackson, miami, tucson)
   val queryBVideos: Vector[VideoProfile] = Vector(dashcam, park, airport)
-
-  def byName(n: String): VideoProfile =
-    all.find(_.name == n).getOrElse(throw new NoSuchElementException(s"no video profile '$n'"))
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.report.Reports
 import repro.video.{CodecModel, VideoProfile}
 import repro.video.OperatorModel
 import repro.video.OperatorModel.Consumer
@@ -109,6 +110,17 @@ class ConfiguratorSpec extends AnyFunSuite {
     val sub = VStoreConfigurator.derive(consumers)
     assert(sub.derived.size === 4)
     assert(sub.sfs.nonEmpty)
+  }
+
+  test("rendering Table 2, Fig 11 and Fig 12 leaves the profilers' counters unchanged") {
+    val fresh = VStoreConfigurator.derive()
+    def counters = Seq(fresh.profilerA, fresh.profilerB)
+      .map(p => (p.opRuns, p.sfRuns, p.sfExamined, p.opDelaySec))
+    val before = counters
+    Reports.table2Lines(fresh)
+    Reports.fig11Lines(fresh)
+    Reports.fig12Lines(Reports.fig12(fresh, Reports.fig12LifespanDays, Reports.fig12Budgets(fresh)))
+    assert(counters === before)
   }
 
   test("profiler run counters are populated after derivation") {

@@ -10,9 +10,9 @@ import repro.video.Knobs._
 import repro.video.{OperatorModel, VideoProfile}
 
 /** `Erosion`'s indexed kernel against a reference copy of the earlier
-  * Map-based §4.4 code: `relativeSpeed`, `overallSpeed`, `pMin`,
-  * `erodeToTarget`, `planForK` and `derivePlan`. Plans must be equal in k,
-  * pmin and every per-age deletion map, and speeds equal to the bit.
+  * Map-based §4.4 code: `overallSpeed`, `pMin`, `planForK` and
+  * `derivePlan`. Plans must be equal in k, pmin and every per-age deletion
+  * map, and speeds equal to the bit.
   */
 class ErosionEquivalence extends AnyFunSuite {
 
@@ -58,25 +58,8 @@ class ErosionEquivalence extends AnyFunSuite {
       if got != want || pMin(tree, ecs) != Reference.pMin(tree, ecs) ||
         got.speeds(tree, ecs) != wantSpeeds ||
         want.perAge.exists(del =>
-          ecs.exists(c => relativeSpeed(tree, del, c) != Reference.relativeSpeed(tree, del, c)))
+          ecs.exists(c => overallSpeed(tree, del, Seq(c)) != Reference.relativeSpeed(tree, del, c)))
     } yield s"$label, k $k"
-    assert(mismatches.isEmpty, mismatches.take(3).mkString("; "))
-  }
-
-  test("erodeToTarget equals the reference from non-empty start states") {
-    val rng = new Random(4405)
-    val mismatches = for {
-      (label, tree, ecs, _) <- cases
-      erodible = tree.formats.filterNot(_ == tree.root)
-      // a random prefix state in Step multiples, plus entries the planner
-      // must ignore: the root and a format outside the tree
-      start = erodible.map(sf => sf -> (rng.nextInt(21) * 0.05).min(1.0)).toMap +
-        (tree.root -> 0.5) + (StorageFormat(tree.root.fidelity, Raw) -> 0.3)
-      target <- Seq(0.9, 0.5, 0.2, 0.0)
-      (got, want) = (erodeToTarget(tree, ecs, start, target),
-        Reference.erodeToTarget(tree, ecs, start, target))
-      if got != want
-    } yield s"$label, target $target: $got vs $want"
     assert(mismatches.isEmpty, mismatches.take(3).mkString("; "))
   }
 
@@ -91,12 +74,12 @@ class ErosionEquivalence extends AnyFunSuite {
     val tree = Formats.buildTree(root, Seq(a, b))
     val ecs = Seq(ErosionConsumer("x", a, 100, Map(a -> 1000.0, root -> 10.0)),
       ErosionConsumer("y", b, 100, Map(b -> 1000.0, root -> 10.0)))
-    val outcomes = for (target <- Seq(0.9, 0.7, 0.5, 0.3, 0.2)) yield {
-      val got = erodeToTarget(tree, ecs, Map.empty, target)
-      assert(got === Reference.erodeToTarget(tree, ecs, Map.empty, target), s"target $target")
-      got
+    val ages = for (k <- Seq(0.5, 1.0, 2.0, 4.0)) yield {
+      val got = planForK(tree, ecs, lifespan, k)
+      assert(got === Reference.planForK(tree, ecs, lifespan, k), s"k $k")
+      got.perAge
     }
-    assert(outcomes.exists(del => del(a) != del(b)), "no target ends on a tie-broken step")
+    assert(ages.flatten.exists(del => del(a) != del(b)), "no age ends on a tie-broken step")
   }
 
   /** The earlier Map-based implementation, kept only as the oracle of this

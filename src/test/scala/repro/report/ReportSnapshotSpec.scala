@@ -4,7 +4,7 @@ import scala.io.{Codec, Source}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.VStoreConfigurator
 
-/** The reproduced Table 2, Table 3, Fig 11 and Fig 12 report lines, at the
+/** The reproduced Table 2, Table 3 and Fig 11–13 report lines, at the
   * jobs' inputs, pinned byte for byte to `snapshots/` under the test
   * resources. A change that moves a reported number fails here and must
   * regenerate the snapshot on purpose.
@@ -40,5 +40,9 @@ class ReportSnapshotSpec extends AnyFunSuite {
   test("Fig 12 lines at the job's budgets match the snapshot") {
     assertLines("fig12",
       Reports.fig12Lines(Reports.fig12(cfg, Reports.fig12LifespanDays, Reports.fig12Budgets(cfg))))
+  }
+
+  test("Fig 13 lines match the snapshot") {
+    assertLines("fig13", Reports.fig13Lines(Reports.fig13()))
   }
 }

@@ -1,6 +1,6 @@
 package repro.store
 
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Frame, SparkSpec}
 import repro.video.Knobs._
@@ -67,7 +67,7 @@ class SegmentStoreSpec extends SparkSpec {
   }
 
   test("encode CPU seconds track model ingest cores x duration") {
-    val cpu = SegmentStore.encodeCpuByFormat(stored)
+    val cpu = stored.collect().groupMapReduce(_.sfId)(_.encodeCpuSec)(_ + _)
     sfs.zipWithIndex.foreach { case (sf, i) =>
       val model = CodecModel.ingestCores(sf, video) * 40
       assert(math.abs(cpu(i) / model - 1.0) < 0.35, s"sf=$sf got=${cpu(i)} model=$model")
@@ -168,11 +168,8 @@ class SegmentStoreSpec extends SparkSpec {
       sfs, VideoProfile.dashcam)
     assert(sparkActivity(SegmentStore.erode(local, 0, 0.4).collect())._1 === 0)
     assert(sparkActivity(SegmentStore.erode(stored, 0, 0.4).collect())._2 === 0L)
-    for (sums <- Seq[Dataset[StoredSegment] => Map[Int, Double]](
-           SegmentStore.bytesByFormat, SegmentStore.encodeCpuByFormat)) {
-      assert(sparkActivity(sums(local))._1 === 0)
-      assert(sparkActivity(sums(stored))._2 === 0L)
-    }
+    assert(sparkActivity(SegmentStore.bytesByFormat(local))._1 === 0)
+    assert(sparkActivity(SegmentStore.bytesByFormat(stored))._2 === 0L)
   }
 
   test("per-format sums equal a driver-side sum, on a local and a cached catalog") {
@@ -187,7 +184,6 @@ class SegmentStoreSpec extends SparkSpec {
         want.foreach { case (id, w) => assert(rel(got(id), w) < 1e-9, s"$where $what sf$id") }
       }
       check("bytes", SegmentStore.bytesByFormat(catalog), _.bytes)
-      check("encodeCpuSec", SegmentStore.encodeCpuByFormat(catalog), _.encodeCpuSec)
     }
   }
 

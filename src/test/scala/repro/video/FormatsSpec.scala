@@ -117,13 +117,4 @@ class FormatsSpec extends AnyFunSuite {
     val t = buildTree(root, Seq(twin))
     assert(t.parent(twin) === root)
   }
-
-  test("children is the inverse of parent") {
-    val sfs = Seq(
-      StorageFormat(high, Coding.slowestSmallest),
-      StorageFormat(mid, Raw),
-      StorageFormat(low, Raw))
-    val t = buildTree(sfs.head, sfs)
-    t.parent.foreach { case (c, p) => assert(t.children(p).contains(c)) }
-  }
 }

@@ -165,11 +165,6 @@ class OperatorModelSpec extends AnyFunSuite {
     assert(Motion.selectivity < 1.0 && License.selectivity < 1.0 && OCR.selectivity === 1.0)
   }
 
-  test("byName resolves all and rejects unknowns") {
-    all.foreach(op => assert(byName(op.name) === op))
-    assertThrows[NoSuchElementException](byName("Sobel"))
-  }
-
   test("engines: NoScope ops on GPU path, ALPR ops on CPU path") {
     assert(queryA.forall(_.engine == "noscope"))
     assert(queryB.forall(_.engine == "alpr"))

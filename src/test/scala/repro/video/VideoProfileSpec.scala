@@ -27,11 +27,6 @@ class VideoProfileSpec extends AnyFunSuite {
     VideoProfile.all.foreach(v => assert(v.eventRate > 0.05 && v.eventRate < 0.6, v.name))
   }
 
-  test("byName round-trips and rejects unknowns") {
-    VideoProfile.all.foreach(v => assert(VideoProfile.byName(v.name) === v))
-    assertThrows[NoSuchElementException](VideoProfile.byName("berkeley"))
-  }
-
   test("profiles reject non-positive parameters") {
     assertThrows[IllegalArgumentException](VideoProfile("x", 0.0, 0.1, 0.0))
     assertThrows[IllegalArgumentException](VideoProfile("x", 1.0, 0.0, 0.0))
