@@ -40,13 +40,20 @@ object Profiler {
   }
 }
 
-/** Stateful profiler for one configuration process. */
+/** Stateful profiler for one configuration process. Its memos are keyed by
+  * the dense format ids (`Fidelity.id`, `StorageFormat.id`), so a lookup
+  * hashes an integer, not a nested case class.
+  */
 final class Profiler(backend: Profiler.AnalyticOpBackend, video: VideoProfile) {
   import Profiler._
 
-  private val opMemo = mutable.Map.empty[(String, Fidelity), OpProfile]
-  private val sfMemo = mutable.Map.empty[StorageFormat, SfProfile]
-  private val orderMemo = mutable.Map.empty[Fidelity, Vector[Coding]]
+  /** Operator ordinals in order of first request; an op profile's key is
+    * ordinal * 600 + fidelity id.
+    */
+  private val opOrdinal = mutable.HashMap.empty[String, Int]
+  private val opMemo = mutable.LongMap.empty[OpProfile]
+  private val sfMemo = mutable.LongMap.empty[SfProfile]
+  private val orderMemo = mutable.LongMap.empty[Vector[Coding]]
 
   /** Number of operator profiling runs actually executed (memo misses). */
   def opRuns: Int = opMemo.size
@@ -64,8 +71,9 @@ final class Profiler(backend: Profiler.AnalyticOpBackend, video: VideoProfile) {
   /** Profile (operator, fidelity); memoized across accuracy levels of the
     * same operator (paper §4.2 "memoizes profiling results").
     */
-  def profileOp(op: Operator, f: Fidelity): OpProfile =
-    opMemo.getOrElseUpdate((op.name, f), {
+  def profileOp(op: Operator, f: Fidelity): OpProfile = {
+    val ordinal = opOrdinal.getOrElseUpdate(op.name, opOrdinal.size)
+    opMemo.getOrElseUpdate(ordinal * 600 + f.id, {
       val p = backend.run(op, f)
       // preparing the sample (decode at golden-format speed) + running the op
       val goldenDecode = CodecModel.retrievalSpeed(
@@ -73,6 +81,7 @@ final class Profiler(backend: Profiler.AnalyticOpBackend, video: VideoProfile) {
       opDelaySec += SampleClipSec / goldenDecode + SampleClipSec * p.consumptionCost
       p
     })
+  }
 
   /** Profile a would-be storage format: its size and ingest cost on the
     * profiling video. Memoized; `sfExamined` counts every request so the
@@ -80,7 +89,7 @@ final class Profiler(backend: Profiler.AnalyticOpBackend, video: VideoProfile) {
     */
   def profileSf(sf: StorageFormat): SfProfile = {
     sfExamined += 1
-    sfMemo.getOrElseUpdate(sf,
+    sfMemo.getOrElseUpdate(sf.id,
       SfProfile(CodecModel.storedBytesPerSec(sf, video), CodecModel.ingestCores(sf, video)))
   }
 
@@ -90,6 +99,6 @@ final class Profiler(backend: Profiler.AnalyticOpBackend, video: VideoProfile) {
     * calls profile nothing.
     */
   def codingsBySize(f: Fidelity): Vector[Coding] =
-    orderMemo.getOrElseUpdate(f,
+    orderMemo.getOrElseUpdate(f.id,
       Coding.space.filterNot(_.isRaw).sortBy(c => profileSf(StorageFormat(f, c)).bytesPerSec))
 }

@@ -30,7 +30,7 @@ object StorageConfig {
   ) {
     def sfs: Vector[StorageFormat] = nodes.map(_.sf)
     /** CF -> storage format serving it. */
-    def subscription: Map[ConsumptionFormat, StorageFormat] =
+    lazy val subscription: Map[ConsumptionFormat, StorageFormat] =
       (for (n <- nodes; cf <- n.cfs) yield cf -> n.sf).toMap
     /** The stored golden format: the erosion root, never eroded (§4.4). */
     lazy val root: StorageFormat = StorageConfig.root(sfs)
@@ -112,7 +112,7 @@ object StorageConfig {
   /** A working node with its integer id and profiled storage and ingest
     * cost. A merge or a coding tune makes a new node with a fresh id.
     */
-  private final case class Slot(id: Int, node: Node, bytes: Double, cores: Double)
+  private[core] final case class Slot(id: Int, node: Node, bytes: Double, cores: Double)
 
   /** A candidate merge of slots `i` < `j` into `slot`, with the total
     * storage and ingest cost the node set would have after it.
@@ -212,13 +212,17 @@ object StorageConfig {
       nextCheaperCoding(n.sf.coding)
         .map(StorageFormat(n.sf.fidelity, _))
         .filter(sf2 => admit(sf2) && n.cfs.forall(cf => retrievalOk(sf2, demandOf(cf))))
-        .flatMap { sf2 =>
-          val p2 = profiler.profileSf(sf2)
-          val dIngest = s.cores - p2.ingestCores
-          if (dIngest <= 0) None
-          else Some((idx, Node(sf2, n.cfs), (p2.bytesPerSec - s.bytes) / dIngest))
-        }
+        .flatMap(sf2 => tuneCost(s, profiler.profileSf(sf2)).map((idx, Node(sf2, n.cfs), _)))
     }.minByOption(_._3).map { case (idx, node, _) => (idx, node) }
+
+  /** The price of tuning slot `s` to a coding profiled as `tuned`: extra
+    * bytes stored per core of ingest saved. None when the tune saves no
+    * ingest.
+    */
+  private[core] def tuneCost(s: Slot, tuned: Profiler.SfProfile): Option[Double] = {
+    val dIngest = s.cores - tuned.ingestCores
+    if (dIngest <= 0) None else Some((tuned.bytesPerSec - s.bytes) / dIngest)
+  }
 
   /** The next cheaper-to-encode coding: bump the speed step; from `fastest`
     * fall through to RAW (encode bypass).

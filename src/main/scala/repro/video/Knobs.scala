@@ -40,7 +40,11 @@ object Knobs {
   /** Output resolution, 16:9, ten rungs from 60p to 720p (paper Table 1). */
   final case class Resolution(width: Int, height: Int) {
     def pixels: Long = width.toLong * height
-    def rank: Int = Resolution.ten.indexOf(this)
+    /** Position in `Resolution.ten` (poorest first), -1 if not a rung. */
+    def rank: Int = {
+      val r = if (height >= 0 && height < Resolution.rankOfHeight.length) Resolution.rankOfHeight(height) else -1
+      if (r >= 0 && Resolution.ten(r).width == width) r else -1
+    }
     override def toString: String = s"${height}p"
   }
   object Resolution {
@@ -52,6 +56,12 @@ object Knobs {
       Resolution(712, 400), Resolution(960, 540), Resolution(1068, 600),
       Resolution(1280, 720),
     )
+    /** Rung index by height; -1 where no rung has that height. */
+    private val rankOfHeight: Array[Int] = {
+      val a = Array.fill(ten.last.height + 1)(-1)
+      ten.indices.foreach(i => a(ten(i).height) = i)
+      a
+    }
   }
 
   /** Frame sampling rate: fraction of the 30 fps ingest stream retained. */
@@ -90,6 +100,8 @@ object Knobs {
     */
   final case class KeyframeInterval(frames: Int) {
     require(KeyframeInterval.values.contains(frames), s"invalid keyframe interval $frames")
+    /** Position in `KeyframeInterval.values` (shortest first). */
+    val rank: Int = KeyframeInterval.values.indexOf(frames)
     override def toString: String = frames.toString
   }
   object KeyframeInterval {
@@ -104,6 +116,11 @@ object Knobs {
       resolution: Resolution,
       sampling: FrameSampling,
   ) {
+    /** Dense id in 0 until 600: the position of this option in
+      * `Fidelity.space`, from the knob ranks.
+      */
+    val id: Int = ((quality.rank * 3 + crop.rank) * 10 + resolution.rank) * 5 + sampling.rank
+
     /** Pixels per (cropped) frame. */
     def pixelsPerFrame: Double = resolution.pixels * crop.fraction
     /** Pixels consumed per second of video. */
@@ -138,7 +155,7 @@ object Knobs {
       if (a.sampling.rank >= b.sampling.rank) a.sampling else b.sampling,
     )
 
-    /** Full enumeration of F (|F| = 4 * 3 * 10 * 5 = 600). */
+    /** Full enumeration of F (|F| = 4 * 3 * 10 * 5 = 600), in `id` order. */
     lazy val space: Vector[Fidelity] = for {
       q <- ImageQuality.all
       c <- CropFactor.all
@@ -152,18 +169,22 @@ object Knobs {
     */
   sealed trait Coding {
     def isRaw: Boolean
+    /** Dense id in 0 until 26: the position of this option in `Coding.space`. */
+    def id: Int
   }
   final case class Encoded(step: SpeedStep, kfInterval: KeyframeInterval) extends Coding {
     def isRaw = false
+    val id: Int = step.rank * KeyframeInterval.values.size + kfInterval.rank
     override def toString: String = s"${kfInterval}-${step}"
   }
   case object Raw extends Coding {
     def isRaw = true
+    val id: Int = SpeedStep.all.size * KeyframeInterval.values.size
     override def toString: String = "RAW"
   }
 
   object Coding {
-    /** Full enumeration of C (5 * 5 + 1 = 26 options). */
+    /** Full enumeration of C (5 * 5 + 1 = 26 options), in `id` order. */
     lazy val space: Vector[Coding] =
       (for { s <- SpeedStep.all; k <- KeyframeInterval.all } yield Encoded(s, k): Coding) :+ Raw
 

@@ -2,6 +2,7 @@ package repro.video
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, IntegerType, LongType}
 
 /** Deterministic synthetic video-frame tables (substitute for the six
   * benchmark videos — see DESIGN.md).
@@ -24,7 +25,7 @@ object SynthVideo {
   /** Uniform [0,1) pseudo-random column keyed on (video, frame, salt). */
   def u01(videoCol: org.apache.spark.sql.Column, frameCol: org.apache.spark.sql.Column,
           salt: String): org.apache.spark.sql.Column =
-    (pmod(xxhash64(videoCol, frameCol, lit(salt)), lit(1000000L)).cast("double") / 1000000.0)
+    (pmod(xxhash64(videoCol, frameCol, lit(salt)), lit(1000000L)).cast(DoubleType) / 1000000.0)
 
   /** Generate `durationSec` seconds of frames for one video profile. */
   def frames(spark: SparkSession, video: VideoProfile, durationSec: Int): DataFrame = {
@@ -32,8 +33,8 @@ object SynthVideo {
     val vid = lit(video.name)
     spark.range(n).select(
       vid as "video",
-      (col("id") / SegmentFrames).cast("long") as "segId",
-      (col("id") % SegmentFrames).cast("int") as "frameIdx",
+      (col("id") / SegmentFrames).cast(LongType) as "segId",
+      (col("id") % SegmentFrames).cast(IntegerType) as "frameIdx",
       col("id") as "frame",
       (u01(vid, col("id"), "event") < video.eventRate) as "isEvent",
       u01(vid, col("id"), "difficulty") as "difficulty",

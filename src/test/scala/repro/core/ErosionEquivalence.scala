@@ -82,6 +82,45 @@ class ErosionEquivalence extends AnyFunSuite {
     assert(ages.flatten.exists(del => del(a) != del(b)), "no age ends on a tie-broken step")
   }
 
+  test("a format whose chain serves only some consumers erodes as in the reference") {
+    // root > a > b > c and root > d > e: eroding e moves only its own
+    // consumer, d moves two, a moves three; c's chain is four levels deep
+    def fid(h: Int, s: FrameSampling) =
+      Fidelity(ImageQuality.Best, CropFactor.C100, Resolution.ten.find(_.height == h).get, s)
+    val root = StorageFormat(Fidelity.full, Coding.slowestSmallest)
+    val a = StorageFormat(fid(540, FrameSampling.S1), Raw)
+    val b = StorageFormat(fid(400, FrameSampling.S2_3), Coding.slowestSmallest)
+    val c = StorageFormat(fid(200, FrameSampling.S1_2), Raw)
+    val d = StorageFormat(fid(600, FrameSampling.S1_30), Raw)
+    val e = StorageFormat(fid(144, FrameSampling.S1_30), Coding.slowestSmallest)
+    val tree = Formats.buildTree(root, Seq(a, b, c, d, e))
+    assert(tree.ancestors(c) === List(b, a, root) && tree.ancestors(e) === List(d, root))
+    // own format fast; each fallback level slower, differently per consumer
+    def consumer(name: String, sf: StorageFormat, speeds: Double*) =
+      ErosionConsumer(name, sf, 100, (sf :: tree.ancestors(sf)).zip(speeds).toMap)
+    val ecs = Seq(
+      consumer("on c", c, 1000, 300, 90, 12),
+      consumer("on b", b, 800, 150, 20),
+      consumer("on a", a, 500, 30),
+      consumer("on d", d, 900, 25),
+      consumer("on e", e, 1200, 200, 15))
+    for (k <- Seq(0.25, 0.5, 1.0, 2.0, KMax)) {
+      val got = planForK(tree, ecs, lifespan, k)
+      val want = Reference.planForK(tree, ecs, lifespan, k)
+      assert(got === want, s"k $k")
+      assert(got.speeds(tree, ecs) === want.perAge.map(Reference.overallSpeed(tree, _, ecs)), s"k $k")
+    }
+    val bpd = Map(root -> 50.0, a -> 40.0, b -> 30.0, c -> 20.0, d -> 25.0, e -> 10.0)
+    for (share <- Seq(0.9, 0.7, 0.5)) {
+      val budgetBytes = share * bpd.values.sum * lifespan
+      assert(derivePlan(tree, ecs, bpd, lifespan, budgetBytes) ===
+        Reference.derivePlan(tree, ecs, bpd, lifespan, budgetBytes), s"share $share")
+    }
+    // the plans erode the formats unevenly, so single-consumer steps are taken
+    val last = planForK(tree, ecs, lifespan, 1.0).perAge.last
+    assert(Seq(a, b, c, d, e).map(last).distinct.size > 1, last)
+  }
+
   /** The earlier Map-based implementation, kept only as the oracle of this
     * suite. `Step`, `Tol` and `KMax` are the planner's constants.
     */

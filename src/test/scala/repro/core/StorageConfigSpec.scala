@@ -221,6 +221,22 @@ class StorageConfigSpec extends AnyFunSuite {
     assert(extreme.sfs.size <= base.sfs.size)
   }
 
+  test("a coding tune costs the extra bytes per core of ingest it saves") {
+    import StorageConfig.{Node, Slot, tuneCost}
+    import Profiler.SfProfile
+    val slot = Slot(0, Node(StorageFormat(Fidelity.full, Coding.slowestSmallest), Set.empty),
+      bytes = 100.0, cores = 4.0)
+    assert(tuneCost(slot, SfProfile(bytesPerSec = 130.0, ingestCores = 1.0)) === Some(10.0))
+    assert(tuneCost(slot, SfProfile(bytesPerSec = 90.0, ingestCores = 3.5)) === Some(-20.0))
+    // a tune that saves no ingest has no price
+    assert(tuneCost(slot, SfProfile(bytesPerSec = 50.0, ingestCores = 4.0)) === None)
+    assert(tuneCost(slot, SfProfile(bytesPerSec = 50.0, ingestCores = 5.0)) === None)
+    // the price does not follow the slot's bytes-to-cores ratio: this slot's
+    // ratio is 20x the first one's, and its tune is half the price
+    val wide = slot.copy(bytes = 1000.0, cores = 2.0)
+    assert(tuneCost(wide, SfProfile(1005.0, 1.0)) === Some(5.0))
+  }
+
   test("nextCheaperCoding walks steps then RAW then stops") {
     var c: Option[Coding] = Some(Encoded(SpeedStep.Slowest, KeyframeInterval(250)))
     val seen = Vector.newBuilder[Coding]
