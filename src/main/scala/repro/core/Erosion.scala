@@ -84,9 +84,8 @@ object Erosion {
   /** The erosion kernel for one tree and consumer set. The tree's formats
     * are indexed once, the non-root (erodible) formats first at 0 until
     * `erodible.size`, then the root; deletion states are arrays over that
-    * index. Each consumer's chain, each erodible format's name and the
-    * consumers whose chain holds each erodible format are computed here,
-    * once.
+    * index. Each consumer's chain and each erodible format's name are
+    * computed here, once.
     */
   private final class Kernel(tree: FormatTree, consumers: Seq[ErosionConsumer]) {
     private val erodible = tree.formats.filterNot(_ == tree.root)
@@ -102,14 +101,6 @@ object Erosion {
       new Chain(levels.map(indexOf).toArray,
         levels.map(sf => math.max(math.min(1.0, c.effectiveSpeed(sf) / orig), 1e-9)).toArray)
     }.toArray
-    /** Every consumer, and for each erodible format the consumers whose
-      * chain holds it: the only ones whose speed it can change.
-      */
-    private val everyone: Array[Int] = chains.indices.toArray
-    private val touching: Array[Array[Int]] =
-      Array.tabulate(erodible.size)(i => everyone.filter(c => chains(c).at.contains(i)))
-    /** Scratch for `probe`'s candidate speeds. */
-    private val scratch = new Array[Double](chains.length)
 
     /** A deletion state as an array; formats it does not name are intact. */
     def deletions(del: Deletion): Array[Double] = formats.map(del.getOrElse(_, 0.0)).toArray
@@ -117,29 +108,11 @@ object Erosion {
     def toDeletion(del: Array[Double]): Deletion = erodible.indices.map(i => erodible(i) -> del(i)).toMap
 
     /** The minimum relative speed across consumers; 1 with none. */
-    def overall(del: Array[Double]): Double = minSpeed(speeds(del))
-
-    /** Each consumer's relative speed under `del`. */
-    private def speeds(del: Array[Double]): Array[Double] = {
-      val out = new Array[Double](chains.length)
-      rescore(del, everyone, out)
-      out
-    }
-
-    /** Recompute the speeds of consumers `cs` under `del` into `speeds`. */
-    private def rescore(del: Array[Double], cs: Array[Int], speeds: Array[Double]): Unit = {
-      var k = 0
-      while (k < cs.length) {
-        speeds(cs(k)) = chains(cs(k)).speed(del)
-        k += 1
-      }
-    }
-
-    private def minSpeed(speeds: Array[Double]): Double = {
+    def overall(del: Array[Double]): Double = {
       var min = 1.0
       var c = 0
-      while (c < speeds.length) {
-        val s = speeds(c)
+      while (c < chains.length) {
+        val s = chains(c).speed(del)
         if (c == 0 || s < min) min = s
         c += 1
       }
@@ -149,26 +122,13 @@ object Erosion {
     /** Overall speed with every erodible format deleted. */
     def pMin: Double = overall(deletions(erodible.map(_ -> 1.0).toMap))
 
-    /** Overall speed under `del`, given each consumer's speed under `del`
-      * except at format `i`, whose entry `del` has just changed: only the
-      * consumers `touching(i)` are re-scored, in a copy of `speeds`.
-      */
-    private def probe(del: Array[Double], i: Int, speeds: Array[Double]): Double = {
-      System.arraycopy(speeds, 0, scratch, 0, speeds.length)
-      rescore(del, touching(i), scratch)
-      minSpeed(scratch)
-    }
-
     /** Erode `del` in place, greedily, until overall speed <= `target`, in
       * `Step`-sized deletion increments, always picking the format whose
       * next increment reduces the overall speed the least (fair-scheduler
-      * spirit: spread decay evenly; never touch the root). Per-consumer
-      * speeds are kept across steps; a candidate re-scores only the
-      * consumers its format touches.
+      * spirit: spread decay evenly; never touch the root).
       */
     def erode(del: Array[Double], target: Double): Array[Double] = {
-      val current = speeds(del)
-      var speed = minSpeed(current)
+      var speed = overall(del)
       var guard = 0
       while (speed > target && guard < maxIter) {
         guard += 1
@@ -180,7 +140,7 @@ object Erosion {
           val d = del(i)
           if (d < 1.0 - 1e-9) {
             del(i) = math.min(1.0, d + Step)
-            val sp = probe(del, i, current)
+            val sp = overall(del)
             del(i) = d
             if (best < 0 || sp > bestSpeed || (sp == bestSpeed && names(i) > names(best))) {
               best = i
@@ -191,7 +151,6 @@ object Erosion {
         }
         if (best < 0) return del
         del(best) = math.min(1.0, del(best) + Step)
-        rescore(del, touching(best), current)
         speed = bestSpeed
       }
       del

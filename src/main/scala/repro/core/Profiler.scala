@@ -48,7 +48,7 @@ final class Profiler(backend: Profiler.AnalyticOpBackend, video: VideoProfile) {
   import Profiler._
 
   /** Operator ordinals in order of first request; an op profile's key is
-    * ordinal * 600 + fidelity id.
+    * ordinal * |F| + fidelity id.
     */
   private val opOrdinal = mutable.HashMap.empty[String, Int]
   private val opMemo = mutable.LongMap.empty[OpProfile]
@@ -73,7 +73,7 @@ final class Profiler(backend: Profiler.AnalyticOpBackend, video: VideoProfile) {
     */
   def profileOp(op: Operator, f: Fidelity): OpProfile = {
     val ordinal = opOrdinal.getOrElseUpdate(op.name, opOrdinal.size)
-    opMemo.getOrElseUpdate(ordinal * 600 + f.id, {
+    opMemo.getOrElseUpdate(ordinal.toLong * Fidelity.count + f.id, {
       val p = backend.run(op, f)
       // preparing the sample (decode at golden-format speed) + running the op
       val goldenDecode = CodecModel.retrievalSpeed(

@@ -41,14 +41,11 @@ object CodecModel {
 
   // --- encoded size -------------------------------------------------------
 
-  // The knob tables below are indexed by the knob's rank (poorest or
-  // slowest first), so a lookup is an array read.
-
-  private val qualitySizeFactor: Array[Double] = Array(
-    0.0016, // worst
-    0.0033, // bad
-    0.0066, // good: CRF 23 (5x below best, Fig. 4b)
-    0.0330, // best: CRF 0, near-lossless, large
+  private val qualitySizeFactor: Map[ImageQuality, Double] = Map(
+    ImageQuality.Best -> 0.0330, // CRF 0: near-lossless, large
+    ImageQuality.Good -> 0.0066, // CRF 23 (5x below best, Fig. 4b)
+    ImageQuality.Bad  -> 0.0033,
+    ImageQuality.Worst -> 0.0016,
   )
 
   private def kfSizeFactor(k: KeyframeInterval): Double = k.frames match {
@@ -60,12 +57,12 @@ object CodecModel {
     case _   => 1.00
   }
 
-  private val stepSizeFactor: Array[Double] = Array(
-    1.00, // slowest
-    1.15, // slow
-    1.40, // med
-    1.80, // fast
-    2.50, // fastest: Fig. 3a, up to 2.5x size
+  private val stepSizeFactor: Map[SpeedStep, Double] = Map(
+    SpeedStep.Slowest -> 1.00,
+    SpeedStep.Slow    -> 1.15,
+    SpeedStep.Med     -> 1.40,
+    SpeedStep.Fast    -> 1.80,
+    SpeedStep.Fastest -> 2.50, // Fig. 3a: up to 2.5x size
   )
 
   /** Stored bytes per second of video for one storage format of one video.
@@ -80,8 +77,8 @@ object CodecModel {
       case Raw => f.pixelsPerFrame * RawStoredBytesPerPixel * f.sampling.fps
       case Encoded(step, kf) =>
         val temporalPenalty = math.pow(30.0 / f.sampling.fps, 0.25)
-        f.rawBytesPerSec * qualitySizeFactor(f.quality.rank) * kfSizeFactor(kf) *
-          stepSizeFactor(step.rank) * video.motionFactor * temporalPenalty
+        f.rawBytesPerSec * qualitySizeFactor(f.quality) * kfSizeFactor(kf) *
+          stepSizeFactor(step) * video.motionFactor * temporalPenalty
     }
   }
 
@@ -91,12 +88,12 @@ object CodecModel {
     * Spans 40x across speed steps (Fig. 3a); calibrated so the four SFs the
     * configurator derives need ~8.5 cores/stream unconstrained (Table 3).
     */
-  private val stepEncodeSpeedAtFull: Array[Double] = Array(
-    0.125, // slowest
-    0.55,  // slow
-    1.70,  // med
-    3.40,  // fast
-    5.20,  // fastest
+  private val stepEncodeSpeedAtFull: Map[SpeedStep, Double] = Map(
+    SpeedStep.Slowest -> 0.125,
+    SpeedStep.Slow    -> 0.55,
+    SpeedStep.Med     -> 1.70,
+    SpeedStep.Fast    -> 3.40,
+    SpeedStep.Fastest -> 5.20,
   )
 
   /** Encode speed of one format on one core, x realtime. RAW bypasses the
@@ -109,7 +106,7 @@ object CodecModel {
     sf.coding match {
       case Raw => 40.0 / math.max(rateRatio, 1e-9) / video.motionFactor.max(1.0)
       case Encoded(step, _) =>
-        stepEncodeSpeedAtFull(step.rank) / math.max(rateRatio, 1e-9) /
+        stepEncodeSpeedAtFull(step) / math.max(rateRatio, 1e-9) /
           math.pow(video.motionFactor, 0.5)
     }
   }
@@ -127,12 +124,12 @@ object CodecModel {
   /** Decoder pixel throughput by speed step (px/s); faster-encoded streams
     * are also cheaper to decode.
     */
-  private val stepDecodePxPerSec: Array[Double] = Array(
-    6.5e8, // slowest
-    7.0e8, // slow
-    7.8e8, // med
-    8.8e8, // fast
-    1.0e9, // fastest
+  private val stepDecodePxPerSec: Map[SpeedStep, Double] = Map(
+    SpeedStep.Slowest -> 6.5e8,
+    SpeedStep.Slow    -> 7.0e8,
+    SpeedStep.Med     -> 7.8e8,
+    SpeedStep.Fast    -> 8.8e8,
+    SpeedStep.Fastest -> 1.0e9,
   )
 
   /** Fixed per-frame decode overhead, seconds. */
@@ -165,7 +162,7 @@ object CodecModel {
         DiskBytesPerSec / bytesPerVideoSec
       case Encoded(step, kf) =>
         val frames = framesDecodedPerVideoSec(f.sampling.fps, fpsWanted, kf)
-        val perFrameSec = decodeFrameOverheadSec + f.pixelsPerFrame / stepDecodePxPerSec(step.rank)
+        val perFrameSec = decodeFrameOverheadSec + f.pixelsPerFrame / stepDecodePxPerSec(step)
         1.0 / (frames * perFrameSec)
     }
   }

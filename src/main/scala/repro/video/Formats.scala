@@ -19,10 +19,10 @@ object Formats {
     * forced to Best since raw frames lose nothing to compression).
     */
   final case class StorageFormat(fidelity: Fidelity, coding: Coding) {
-    /** Dense id in 0 until 15 600 over F x C (|C| = 26); equal formats
-      * have equal ids.
+    /** Dense id in 0 until 15 600 over F x C; equal formats have equal
+      * ids.
       */
-    def id: Int = fidelity.id * 26 + coding.id
+    def id: Int = fidelity.id * Coding.count + coding.id
     /** R1: this SF can serve a CF iff its fidelity is richer-or-equal. */
     def canServe(cf: ConsumptionFormat): Boolean = fidelity.richerOrEqual(cf.fidelity)
     override def toString: String = s"SF<$fidelity, $coding>"

@@ -40,10 +40,13 @@ object Knobs {
   /** Output resolution, 16:9, ten rungs from 60p to 720p (paper Table 1). */
   final case class Resolution(width: Int, height: Int) {
     def pixels: Long = width.toLong * height
-    /** Position in `Resolution.ten` (poorest first), -1 if not a rung. */
+    /** Position in `Resolution.ten` (poorest first); only the ten rungs
+      * have one, so an off-rung resolution cannot share a rung's id.
+      */
     def rank: Int = {
       val r = if (height >= 0 && height < Resolution.rankOfHeight.length) Resolution.rankOfHeight(height) else -1
-      if (r >= 0 && Resolution.ten(r).width == width) r else -1
+      require(r >= 0 && Resolution.ten(r).width == width, s"${width}x$height is not a rung of Resolution.ten")
+      r
     }
     override def toString: String = s"${height}p"
   }
@@ -116,10 +119,12 @@ object Knobs {
       resolution: Resolution,
       sampling: FrameSampling,
   ) {
-    /** Dense id in 0 until 600: the position of this option in
-      * `Fidelity.space`, from the knob ranks.
+    /** Dense id in 0 until `Fidelity.count`: the position of this option
+      * in `Fidelity.space`, from the knob ranks.
       */
-    val id: Int = ((quality.rank * 3 + crop.rank) * 10 + resolution.rank) * 5 + sampling.rank
+    val id: Int =
+      ((quality.rank * CropFactor.all.size + crop.rank) * Resolution.ten.size + resolution.rank) *
+        FrameSampling.all.size + sampling.rank
 
     /** Pixels per (cropped) frame. */
     def pixelsPerFrame: Double = resolution.pixels * crop.fraction
@@ -155,7 +160,12 @@ object Knobs {
       if (a.sampling.rank >= b.sampling.rank) a.sampling else b.sampling,
     )
 
-    /** Full enumeration of F (|F| = 4 * 3 * 10 * 5 = 600), in `id` order. */
+    /** |F| = 4 * 3 * 10 * 5 = 600: the number of fidelity options, and
+      * the bound of `Fidelity.id`.
+      */
+    val count: Int = ImageQuality.all.size * CropFactor.all.size * Resolution.ten.size * FrameSampling.all.size
+
+    /** Full enumeration of F (`count` options), in `id` order. */
     lazy val space: Vector[Fidelity] = for {
       q <- ImageQuality.all
       c <- CropFactor.all
@@ -169,7 +179,9 @@ object Knobs {
     */
   sealed trait Coding {
     def isRaw: Boolean
-    /** Dense id in 0 until 26: the position of this option in `Coding.space`. */
+    /** Dense id in 0 until `Coding.count`: the position of this option in
+      * `Coding.space`.
+      */
     def id: Int
   }
   final case class Encoded(step: SpeedStep, kfInterval: KeyframeInterval) extends Coding {
@@ -179,12 +191,17 @@ object Knobs {
   }
   case object Raw extends Coding {
     def isRaw = true
-    val id: Int = SpeedStep.all.size * KeyframeInterval.values.size
+    val id: Int = Coding.count - 1
     override def toString: String = "RAW"
   }
 
   object Coding {
-    /** Full enumeration of C (5 * 5 + 1 = 26 options), in `id` order. */
+    /** |C| = 5 * 5 + 1 = 26: the number of coding options, and the bound
+      * of `Coding.id`.
+      */
+    val count: Int = SpeedStep.all.size * KeyframeInterval.values.size + 1
+
+    /** Full enumeration of C (`count` options), in `id` order. */
     lazy val space: Vector[Coding] =
       (for { s <- SpeedStep.all; k <- KeyframeInterval.all } yield Encoded(s, k): Coding) :+ Raw
 

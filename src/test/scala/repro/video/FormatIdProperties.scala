@@ -39,10 +39,10 @@ object FormatIdProperties extends Properties("FormatIds") {
   } yield (a, b)
 
   property("Fidelity.space ids are 0 until 600, in order") =
-    Prop(Fidelity.space.map(_.id) == (0 until 600))
+    Prop(Fidelity.count == 600 && Fidelity.space.map(_.id) == (0 until Fidelity.count))
 
   property("Coding.space ids are 0 until 26, in order") =
-    Prop(Coding.space.map(_.id) == (0 until 26))
+    Prop(Coding.count == 26 && Coding.space.map(_.id) == (0 until Coding.count))
 
   property("StorageFormat.id is a bijection from F x C onto 0 until 15 600") = {
     val ids = for (f <- Fidelity.space; c <- Coding.space) yield StorageFormat(f, c).id
@@ -56,9 +56,12 @@ object FormatIdProperties extends Properties("FormatIds") {
         ((a.coding == b.coding) == (a.coding.id == b.coding.id)) :| "coding"
     }
 
-  property("the resolution rank agrees with Resolution.ten.indexOf") = {
+  property("the resolution rank agrees with Resolution.ten.indexOf") =
+    Prop.all(Resolution.ten.map(r => (r.rank == Resolution.ten.indexOf(r)) :| s"$r: ${r.rank}"): _*)
+
+  property("a fidelity off the ten resolution rungs has no id to alias") = {
     val offRungs = Seq(Resolution(100, 60), Resolution(1280, 721), Resolution(0, 0), Resolution(10, -1))
-    Prop.all((Resolution.ten ++ offRungs).map(r =>
-      (r.rank == Resolution.ten.indexOf(r)) :| s"$r (${r.width}x${r.height}): ${r.rank}"): _*)
+    Prop.all(offRungs.map(r => Prop.throws(classOf[IllegalArgumentException])(
+      Fidelity.full.copy(resolution = r)) :| s"${r.width}x${r.height}"): _*)
   }
 }
