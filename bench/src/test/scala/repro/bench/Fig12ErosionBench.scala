@@ -15,10 +15,9 @@ import repro.video.VideoProfile
 class Fig12ErosionBench extends AnyFunSuite {
 
   private lazy val cfg = VStoreConfigurator.derive()
-  private lazy val budgets = Reports.fig12Budgets(cfg)
   private lazy val intact =
     VStoreConfigurator.bytesPerDay(cfg, VideoProfile.jackson).values.sum * Reports.fig12LifespanDays
-  private lazy val results = Reports.fig12(cfg, Reports.fig12LifespanDays, budgets)
+  private lazy val results = Reports.fig12(cfg)
 
   test("print Figure 12 numbers (paper vs measured in EXPERIMENTS.md)") {
     info(f"intact 10-day footprint: ${intact / 1e12}%.2f TB (paper: 5 TB)")
@@ -36,8 +35,8 @@ class Fig12ErosionBench extends AnyFunSuite {
   }
 
   test("every reachable budget is met by the plan") {
-    results.zip(budgets).foreach { case (r, b) =>
-      val total = r.perAgeBytes.sum
+    results.foreach { r =>
+      val (b, total) = (r.budgetBytes, r.perAgeBytes.sum)
       if (r.k < Erosion.KMax) assert(total <= b + 1e-6, f"budget ${b / 1e12}%.2f total ${total / 1e12}%.2f")
     }
   }

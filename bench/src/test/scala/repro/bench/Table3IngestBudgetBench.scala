@@ -13,7 +13,7 @@ import repro.report.Reports
   */
 class Table3IngestBudgetBench extends AnyFunSuite {
 
-  private lazy val rows = Reports.table3(Reports.table3Budgets)
+  private lazy val rows = Reports.table3()
 
   test("print Table 3 (paper vs measured in EXPERIMENTS.md)") {
     Reports.table3Lines(rows).foreach(info(_))

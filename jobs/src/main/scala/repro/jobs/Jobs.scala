@@ -18,7 +18,7 @@ object Table2Job {
 
 object Table3Job {
   def main(args: Array[String]): Unit = {
-    Reports.table3Lines(Reports.table3(Reports.table3Budgets)).foreach(println)
+    Reports.table3Lines(Reports.table3()).foreach(println)
   }
 }
 
@@ -32,7 +32,7 @@ object Fig11Job {
 object Fig12Job {
   def main(args: Array[String]): Unit = {
     val cfg = VStoreConfigurator.derive()
-    Reports.fig12Lines(Reports.fig12(cfg, Reports.fig12LifespanDays, Reports.fig12Budgets(cfg)))
+    Reports.fig12Lines(Reports.fig12(cfg))
       .foreach(println)
   }
 }

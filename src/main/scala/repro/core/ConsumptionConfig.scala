@@ -30,7 +30,8 @@ object ConsumptionConfig {
     def consumptionSpeed: Double = 1.0 / consumptionCost
   }
 
-  /** Walk the accuracy boundary of one (resolution x sampling) slice.
+  /** Walk the accuracy boundary of one (resolution x sampling) slice, at
+    * the best image quality (step 1).
     *
     * Accuracy is non-decreasing in resolution and in sampling (O1), so the
     * minimal adequate sampling can only grow as resolution drops: a
@@ -43,11 +44,12 @@ object ConsumptionConfig {
     * boundary because the lowest consumption cost may sit anywhere on it.
     */
   def boundaryCandidates(profiler: Profiler, op: Operator, target: Double,
-                         quality: ImageQuality, crop: CropFactor): Vector[Fidelity] = {
+                         crop: CropFactor): Vector[Fidelity] = {
     val resos = Resolution.ten.sortBy(-_.height) // richest first
     val samps = FrameSampling.all                 // poorest..richest
+    def cell(res: Resolution, j: Int) = Fidelity(ImageQuality.Best, crop, res, samps(j))
     def adequate(res: Resolution, j: Int): Boolean =
-      profiler.profileOp(op, Fidelity(quality, crop, res, samps(j))).accuracy >= target
+      profiler.profileOp(op, cell(res, j)).accuracy >= target
     // richest resolution: walk left while adequate
     val first = (samps.length - 1 to 0 by -1).iterator
       .takeWhile(adequate(resos.head, _)).toVector.lastOption
@@ -55,7 +57,7 @@ object ConsumptionConfig {
     val cols = resos.tail.scanLeft(first) { (col, res) =>
       col.flatMap(j => (j until samps.length).find(adequate(res, _)))
     }
-    resos.zip(cols).collect { case (res, Some(j)) => Fidelity(quality, crop, res, samps(j)) }
+    resos.zip(cols).collect { case (res, Some(j)) => cell(res, j) }
   }
 
   /** Derive the consumption format for one consumer. Falls back to the full
@@ -65,18 +67,14 @@ object ConsumptionConfig {
   def derive(profiler: Profiler, consumer: Consumer): Derived = {
     val op = consumer.op
     val target = consumer.targetAccuracy
-    val qMax = ImageQuality.Best
-
-    val candidates = CropFactor.all.flatMap { crop =>
-      boundaryCandidates(profiler, op, target, qMax, crop)
-    }
+    val candidates = CropFactor.all.flatMap(boundaryCandidates(profiler, op, target, _))
     val best3d: Fidelity =
       if (candidates.isEmpty) Fidelity.full
       else candidates.minBy(f => profiler.profileOp(op, f).consumptionCost)
 
     // Lower image quality to the minimum adequate (O2: no cost change).
     var chosen = best3d
-    var qi = qMax.rank - 1
+    var qi = ImageQuality.Best.rank - 1
     var go = true
     while (go && qi >= 0) {
       val cand = chosen.copy(quality = ImageQuality.all(qi))

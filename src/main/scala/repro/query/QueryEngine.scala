@@ -90,8 +90,8 @@ object QueryEngine {
     }
   }
 
-  /** Execute a cascade over `frames` (ingest-format frame table of one
-    * video) in one Spark job. Stage i charges time only for the fraction of
+  /** Execute a cascade over `frames` (ingest-format frame table of `video`)
+    * in one Spark job. Stage i charges time only for the fraction of
     * video that survived stages 0..i-1 (the cumulative selectivity, as
     * segment-level early exit).
     */
@@ -102,7 +102,7 @@ object QueryEngine {
     val repeated = names.diff(names.distinct).distinct
     require(repeated.isEmpty, s"runCascade: operator ${repeated.mkString(", ")} " +
       "appears in more than one stage, but per-op results are keyed by operator name")
-    val rows = frames.select("video", "frame", "frameIdx", "isEvent").queryExecution.toRdd
+    val rows = frames.select("frame", "frameIdx", "isEvent").queryExecution.toRdd
     val counters = spark.sparkContext
       .runJob(rows, new CascadeCounters(video, stages), rows.partitions.indices)
       .foldLeft(new Array[Long](1 + 3 * stages.size)) { (sum, c) =>
@@ -134,9 +134,9 @@ object QueryEngine {
 }
 
 /** [[QueryEngine.runCascade]]'s task: one partition's counters over rows of
-  * (video, frame, frameIdx, isEvent). c(0) counts frames; c(1 + 3i),
-  * c(2 + 3i), c(3 + 3i) are stage i's sampled frames, true positives and
-  * false negatives. A named class, not a lambda, so that Spark's closure
+  * (frame, frameIdx, isEvent) of `video`'s frame table. c(0) counts frames;
+  * c(1 + 3i), c(2 + 3i), c(3 + 3i) are stage i's sampled frames, true
+  * positives and false negatives. A named class, not a lambda, so that Spark's closure
   * cleaner skips it (see [[QueryEngine]]).
   */
 private[query] final class CascadeCounters(video: VideoProfile, stages: Seq[QueryEngine.Stage])
@@ -151,13 +151,13 @@ private[query] final class CascadeCounters(video: VideoProfile, stages: Seq[Quer
     val c = new Array[Long](1 + 3 * n)
     rows.foreach { r =>
       c(0) += 1
-      val frameIdx = r.getInt(2)
+      val frameIdx = r.getInt(1)
       var i = 0
       while (i < n) {
         if (frameIdx % everyN(i) == 0) {
           c(1 + 3 * i) += 1
-          if (r.getBoolean(3)) {
-            val hit = SynthVideo.u01Scala(r.getUTF8String(0).toString, r.getLong(1), salt(i)) < detectProb(i)
+          if (r.getBoolean(2)) {
+            val hit = SynthVideo.u01Scala(video.name, r.getLong(0), salt(i)) < detectProb(i)
             c((if (hit) 2 else 3) + 3 * i) += 1
           }
         }

@@ -31,21 +31,17 @@ object Reports {
   final case class Table2Sf(label: String, sf: StorageFormat, kbPerSec: Double,
                             retrievalSpeedMin: Double, retrievalSpeedMax: Double)
 
+  /** One row per derived consumer, in `cfg.derived`'s (consumer) order. */
   def table2(cfg: Configuration): (Vector[Table2Row], Vector[Table2Sf]) = {
     val labels = sfLabels(cfg)
-    val rows = for {
-      op <- OperatorModel.all
-      acc <- OperatorModel.accuracyLevels
-    } yield {
-      val c = Consumer(op, acc)
-      val d = cfg.derived.find(_.consumer == c).get
-      val sf = cfg.sfOf(c)
+    val rows = cfg.derived.map { d =>
+      val c = d.consumer
       // uncoalesced per-second size of the CF itself, stored at the
       // slowest/smallest coding (what the paper's CF cells report)
-      val video = VStoreConfigurator.profilingVideo(op)
+      val video = VStoreConfigurator.profilingVideo(c.op)
       val ownSf = StorageFormat(d.fidelity, Coding.slowestSmallest)
       val kb = CodecModel.storedBytesPerSec(ownSf, video) / 1024.0
-      Table2Row(op.name, acc, d.fidelity, labels(sf), kb, d.consumptionSpeed)
+      Table2Row(c.op.name, c.targetAccuracy, d.fidelity, labels(cfg.sfOf(c)), kb, d.consumptionSpeed)
     }
     val sfRows = cfg.sfs.sortBy(sf => labels(sf)).map { sf =>
       val served = cfg.derived.filter(d => cfg.sfOf(d.consumer) == sf)
@@ -56,7 +52,7 @@ object Reports {
         CodecModel.storedBytesPerSec(sf, VideoProfile.jackson) / 1024.0,
         speeds.min, speeds.max)
     }
-    (rows.toVector, sfRows)
+    (rows, sfRows)
   }
 
   def table2Lines(cfg: Configuration): Vector[String] = {
@@ -82,9 +78,9 @@ object Reports {
   val table3Budgets: Seq[Option[Double]] =
     Seq(None, Some(10), Some(8), Some(4), Some(3), Some(2), Some(1), Some(0.5), Some(0.15))
 
-  /** Ingest-budget sweep on the profiling video (jackson), as Table 3. */
-  def table3(budgets: Seq[Option[Double]]): Vector[Table3Row] =
-    budgets.map { b =>
+  /** Ingest-budget sweep over `table3Budgets` on the profiling video (jackson), as Table 3. */
+  def table3(): Vector[Table3Row] =
+    table3Budgets.map { b =>
       val cfg = VStoreConfigurator.derive(ingestBudgetCores = b)
       val labels = sfLabels(cfg)
       val video = VideoProfile.jackson
@@ -154,17 +150,18 @@ object Reports {
     * footprint over that lifespan, like the paper's 5/4/3/2 TB.
     */
   val fig12LifespanDays = 10
-  def fig12Budgets(cfg: Configuration): Seq[Double] = {
+  private def fig12Budgets(cfg: Configuration): Seq[Double] = {
     val intact = VStoreConfigurator.bytesPerDay(cfg, VideoProfile.jackson).values.sum * fig12LifespanDays
     Seq(1.1, 0.8, 0.6, 0.4).map(_ * intact)
   }
 
-  def fig12(cfg: Configuration, lifespanDays: Int, budgetsBytes: Seq[Double]): Vector[Fig12Result] = {
+  /** Erosion plans at each of `fig12Budgets` over `fig12LifespanDays`. */
+  def fig12(cfg: Configuration): Vector[Fig12Result] = {
     val (tree, consumers) = VStoreConfigurator.erosionInputs(cfg)
     val bpd = VStoreConfigurator.bytesPerDay(cfg, VideoProfile.jackson)
     val labels = sfLabels(cfg)
-    budgetsBytes.map { budget =>
-      val plan = Erosion.derivePlan(tree, consumers, bpd, lifespanDays, budget)
+    fig12Budgets(cfg).map { budget =>
+      val plan = Erosion.derivePlan(tree, consumers, bpd, fig12LifespanDays, budget)
       val retention = plan.perAge.map { del =>
         cfg.sfs.map(sf => labels(sf) -> (1.0 - del.getOrElse(sf, 0.0))).toMap
       }

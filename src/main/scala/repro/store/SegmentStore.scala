@@ -17,9 +17,9 @@ import repro.video.{CodecModel, SynthVideo, VideoProfile}
   * returns, per partition, each segment's frame count and motion sum; the
   * driver merges the partials of segments split across partitions and
   * applies the codec model to each segment under each storage format,
-  * emitting one catalog row per (segment, format) with its stored size and
-  * encode CPU cost. The catalog is per-segment metadata, so it is returned
-  * as a driver-local Dataset. The task function is a named class,
+  * emitting one catalog row per (segment, format) with its stored size.
+  * The catalog is per-segment metadata, so it is returned as a driver-local
+  * Dataset. The task function is a named class,
   * [[SegmentPartials]], for the reason given at `QueryEngine`: Spark's
   * closure cleaner returns at once for it.
   *
@@ -33,20 +33,19 @@ import repro.video.{CodecModel, SynthVideo, VideoProfile}
 object SegmentStore {
 
   /** One stored-segment catalog row. `sfId` indexes into the configuration's
-    * storage-format list; sizes in bytes, encode cost in CPU-seconds.
+    * storage-format list; the size is in bytes.
     */
-  final case class StoredSegment(video: String, segId: Long, sfId: Int,
-                                 bytes: Double, encodeCpuSec: Double, nFrames: Int)
+  final case class StoredSegment(video: String, segId: Long, sfId: Int, bytes: Double)
 
   /** Ingest: transcode `frames` into each storage format.
     *
     * Eager: the one Spark job over `frames` runs when `ingest` is called, and
     * the returned catalog is a local Dataset, sorted by (video, segId, sfId).
     *
-    * The per-segment motion level modulates encoded size and encode cost the
-    * way content complexity does for x264 (heavier motion compresses worse
-    * and encodes slower), so each segment's cost is derived from its actual
-    * frame data, not just the dataset-level profile.
+    * The per-segment motion level modulates encoded size the way content
+    * complexity does for x264 (heavier motion compresses worse), so each
+    * segment's size is derived from its actual frame data, not just the
+    * dataset-level profile.
     */
   def ingest(spark: SparkSession, frames: DataFrame, sfs: Seq[StorageFormat],
              video: VideoProfile): Dataset[StoredSegment] = {
@@ -57,15 +56,14 @@ object SegmentStore {
       case ((n1, s1), (n2, s2)) => (n1 + n2, s1 + s2)
     }
     val perSec = sfs.map(CodecModel.storedBytesPerSec(_, video))
-    val cores = sfs.map(CodecModel.ingestCores(_, video))
     val catalog = segments.toSeq.sortBy(_._1).flatMap { case ((v, seg), (n, motionSum)) =>
       val segSec = n.toDouble / SynthVideo.Fps
       // mean motion of this segment relative to the dataset mean (1.0)
       val rel = math.max(0.25, math.min(4.0, motionSum / n / video.motionFactor))
       sfs.indices.map { i =>
-        // raw size and raw ingest cost are content-independent
+        // raw size is content-independent
         val scale = if (sfs(i).coding.isRaw) 1.0 else rel
-        StoredSegment(v, seg, i, perSec(i) * segSec * scale, cores(i) * scale * segSec, n)
+        StoredSegment(v, seg, i, perSec(i) * segSec * scale)
       }
     }
     spark.createDataset(catalog)(storedSegmentEncoder)

@@ -54,7 +54,6 @@ object CodecModel {
     case 50  => 1.15
     case 10  => 1.55
     case 5   => 2.00
-    case _   => 1.00
   }
 
   private val stepSizeFactor: Map[SpeedStep, Double] = Map(

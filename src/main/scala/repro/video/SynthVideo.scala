@@ -9,10 +9,10 @@ import org.apache.spark.sql.types.{DoubleType, IntegerType, LongType}
   *
   * A video is a table of frames at the ingest format (720p30): one row per
   * frame with its segment id (8-second segments, 240 frames each, §4.1/§5),
-  * a ground-truth event flag (is there a car/plate in this frame), a
-  * detection difficulty in [0,1), and a local motion level. All columns are
-  * pure functions of (video name, frame number) via xxhash64, so every run —
-  * and the DuckDB oracle — sees identical data.
+  * a ground-truth event flag (is there a car/plate in this frame) and a
+  * local motion level. All columns are pure functions of (video name, frame
+  * number) via xxhash64, so every run — and the DuckDB oracle — sees
+  * identical data.
   */
 object SynthVideo {
 
@@ -37,15 +37,14 @@ object SynthVideo {
       (col("id") % SegmentFrames).cast(IntegerType) as "frameIdx",
       col("id") as "frame",
       (u01(vid, col("id"), "event") < video.eventRate) as "isEvent",
-      u01(vid, col("id"), "difficulty") as "difficulty",
       (u01(vid, col("id"), "motion") * 2.0 * video.motionFactor) as "motion",
     )
   }
 
   /** The same uniform draw computed driver/executor-side in Scala, for the
-    * per-frame detection decision inside mapPartitions (must match the
-    * distribution, not the exact SQL hash values — detection uses its own
-    * salt so no cross-check needs bit-equality).
+    * per-frame detection decision inside the cascade's `runJob` task (must
+    * match the distribution, not the exact SQL hash values — detection uses
+    * its own salt so no cross-check needs bit-equality).
     */
   def u01Scala(video: String, frame: Long, salt: String): Double = {
     val h = scala.util.hashing.MurmurHash3.stringHash(s"$video/$frame/$salt")

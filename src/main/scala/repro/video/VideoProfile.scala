@@ -11,7 +11,7 @@ package repro.video
   * @param name          dataset name as in the paper
   * @param motionFactor  multiplier on encoded size and encode cost (1.0 = jackson)
   * @param eventRate     fraction of frames containing a ground-truth positive
-  * @param difficultyBias shifts per-frame detection difficulty (0 = neutral);
+  * @param difficultyBias shifts the video's detection difficulty (0 = neutral);
   *                       higher values make low-fidelity detection harder
   */
 final case class VideoProfile(

@@ -5,4 +5,4 @@ package repro
   * cascade compute in Spark.
   */
 final case class Frame(video: String, segId: Long, frameIdx: Int, frame: Long,
-                       isEvent: Boolean, difficulty: Double, motion: Double)
+                       isEvent: Boolean, motion: Double)

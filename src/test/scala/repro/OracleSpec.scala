@@ -13,13 +13,13 @@ class OracleSpec extends SparkSpec {
 
   test("oracle accepts a matching aggregation") {
     val agg = frames.groupBy("segId")
-      .agg(count(lit(1)) as "n", round(sum("difficulty"), 2) as "d")
+      .agg(count(lit(1)) as "n", round(sum("motion"), 2) as "m")
     Oracle.assertEquivalent(
       agg,
       "SELECT segId, count(1) AS n, " +
-        "round(sum(CAST(difficulty AS DOUBLE)), 2) AS d " +
+        "round(sum(CAST(motion AS DOUBLE)), 2) AS m " +
         "FROM frames GROUP BY segId",
-      "frames" -> frames.select("segId", "difficulty"))
+      "frames" -> frames.select("segId", "motion"))
   }
 
   test("oracle rejects a wrong result") {

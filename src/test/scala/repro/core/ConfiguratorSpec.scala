@@ -119,7 +119,7 @@ class ConfiguratorSpec extends AnyFunSuite {
     val before = counters
     Reports.table2Lines(fresh)
     Reports.fig11Lines(fresh)
-    Reports.fig12Lines(Reports.fig12(fresh, Reports.fig12LifespanDays, Reports.fig12Budgets(fresh)))
+    Reports.fig12Lines(Reports.fig12(fresh))
     assert(counters === before)
   }
 

@@ -62,7 +62,7 @@ class ConsumptionConfigSpec extends AnyFunSuite {
   test("boundary candidates are all adequate and minimal in sampling") {
     val op = OperatorModel.License
     val p = profilerFor(op)
-    val cands = ConsumptionConfig.boundaryCandidates(p, op, 0.8, ImageQuality.Best, CropFactor.C100)
+    val cands = ConsumptionConfig.boundaryCandidates(p, op, 0.8, CropFactor.C100)
     assert(cands.nonEmpty)
     cands.foreach { f =>
       assert(op.accuracy(f, VideoProfile.dashcam) >= 0.8)
@@ -81,7 +81,7 @@ class ConsumptionConfigSpec extends AnyFunSuite {
         FrameSampling.all.map(Fidelity(ImageQuality.Best, crop, r, _))
           .find(op.accuracy(_, v) >= t)
       }
-      val got = ConsumptionConfig.boundaryCandidates(profilerFor(op), op, t, ImageQuality.Best, crop)
+      val got = ConsumptionConfig.boundaryCandidates(profilerFor(op), op, t, crop)
       assert(got === expected, s"${op.name} $crop target=$t")
     }
   }
@@ -89,7 +89,7 @@ class ConsumptionConfigSpec extends AnyFunSuite {
   test("boundary candidates cover at most one point per resolution") {
     val op = OperatorModel.NN
     val p = profilerFor(op)
-    val cands = ConsumptionConfig.boundaryCandidates(p, op, 0.9, ImageQuality.Best, CropFactor.C100)
+    val cands = ConsumptionConfig.boundaryCandidates(p, op, 0.9, CropFactor.C100)
     val byRes = cands.groupBy(_.resolution)
     byRes.foreach { case (r, fs) => assert(fs.size === 1, s"$r") }
   }

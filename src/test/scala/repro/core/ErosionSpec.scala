@@ -100,7 +100,7 @@ class ErosionSpec extends AnyFunSuite {
   // tests drive it through planForK, where age x erodes from age x-1's
   // state to the target P(x).
 
-  test("erodeToTarget reaches (or crosses) the target") {
+  test("planForK: every age reaches (or crosses) its target") {
     val plan = Erosion.planForK(tree, consumers, lifespanDays = 6, k = 2.0)
     plan.speeds(tree, consumers).zipWithIndex.foreach { case (speed, i) =>
       val target = Erosion.targetSpeed(i + 1, 2.0, plan.pmin)
@@ -108,20 +108,19 @@ class ErosionSpec extends AnyFunSuite {
     }
   }
 
-  test("erodeToTarget never touches the root") {
+  test("planForK never erodes the root") {
     val plan = Erosion.planForK(tree, consumers, lifespanDays = 10, k = Erosion.KMax)
     assert(plan.perAge.last.values.sum > 1.0, plan.perAge.last.toString)
     plan.perAge.foreach(del => assert(!del.contains(golden), del.toString))
   }
 
-  test("erodeToTarget with target 1.0 deletes nothing") {
-    // k = 0 sets every age's target to 1.0
+  test("planForK with k = 0 (every target 1.0) deletes nothing") {
     val plan = Erosion.planForK(tree, consumers, lifespanDays = 10, k = 0.0)
     plan.perAge.foreach(del => assert(del.values.forall(_ === 0.0), del.toString))
   }
 
-  test("erodeToTarget accumulates from the starting state") {
-    // a longer lifespan only appends ages: each age starts from the last
+  test("planForK: a longer lifespan only appends ages") {
+    // each age erodes from the previous age's state
     val short = Erosion.planForK(tree, consumers, lifespanDays = 3, k = 1.0)
     val long = Erosion.planForK(tree, consumers, lifespanDays = 8, k = 1.0)
     assert(long.perAge.take(3) === short.perAge)

@@ -30,7 +30,7 @@ class ReportSnapshotSpec extends AnyFunSuite {
   }
 
   test("Table 3 lines at the job's budgets match the snapshot") {
-    assertLines("table3", Reports.table3Lines(Reports.table3(Reports.table3Budgets)))
+    assertLines("table3", Reports.table3Lines(Reports.table3()))
   }
 
   test("Fig 11 lines match the snapshot") {
@@ -39,7 +39,7 @@ class ReportSnapshotSpec extends AnyFunSuite {
 
   test("Fig 12 lines at the job's budgets match the snapshot") {
     assertLines("fig12",
-      Reports.fig12Lines(Reports.fig12(cfg, Reports.fig12LifespanDays, Reports.fig12Budgets(cfg))))
+      Reports.fig12Lines(Reports.fig12(cfg)))
   }
 
   test("Fig 13 lines match the snapshot") {

@@ -22,7 +22,7 @@ object ErodeProperties extends Properties("Erode") {
   } yield {
     val cells = for (v <- 0 until nVideos; sf <- 0 until nSfs) yield (v, sf)
     val rows = cells.zip(held).flatMap { case ((v, sf), segs) =>
-      segs.toSeq.map(seg => StoredSegment(s"v$v", seg, sf, 1000.0 * seg + sf, 0.5 * seg, 240))
+      segs.toSeq.map(seg => StoredSegment(s"v$v", seg, sf, 1000.0 * seg + sf))
     }
     (rows, nSfs)
   }

@@ -7,6 +7,10 @@ class SynthVideoSpec extends SparkSpec {
 
   private lazy val df = SynthVideo.frames(spark, VideoProfile.jackson, durationSec = 40).cache()
 
+  test("the frame table has exactly the columns its readers select") {
+    assert(df.columns.toSeq === Seq("video", "segId", "frameIdx", "frame", "isEvent", "motion"))
+  }
+
   test("generates fps x duration frames") {
     assert(df.count() === 40L * 30)
   }
@@ -44,8 +48,9 @@ class SynthVideoSpec extends SparkSpec {
     assert(math.abs(rate - v.eventRate) < 0.04, s"rate=$rate want ~${v.eventRate}")
   }
 
-  test("difficulty is uniform-ish in [0,1)") {
-    val r = df.agg(min("difficulty"), max("difficulty"), avg("difficulty")).collect().head
+  test("the motion draw, motion / (2 x motionFactor), is uniform-ish in [0,1)") {
+    val u = col("motion") / (2.0 * VideoProfile.jackson.motionFactor)
+    val r = df.agg(min(u), max(u), avg(u)).collect().head
     assert(r.getDouble(0) >= 0.0 && r.getDouble(1) < 1.0)
     assert(math.abs(r.getDouble(2) - 0.5) < 0.05)
   }
