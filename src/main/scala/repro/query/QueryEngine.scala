@@ -1,8 +1,12 @@
 package repro.query
 
-import org.apache.spark.TaskContext
+import scala.annotation.tailrec
+import org.apache.spark.{SparkContext, TaskContext}
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.plans.logical.{Filter, LogicalPlan, Project}
+import org.apache.spark.sql.execution.columnar.InMemoryRelation
 import repro.video.Knobs._
 import repro.video.Formats._
 import repro.video.{CodecModel, SynthVideo, VideoProfile}
@@ -30,6 +34,23 @@ import repro.video.OperatorModel.{Consumer, Operator}
   * or for the wrapper lambda the other overloads build, it re-reads and
   * parses class bytecode on every call, which cost more driver time than
   * the job itself.
+  *
+  * Planning is memoized per cached frame window. Catalyst's analysis is
+  * cheap, but optimizing, physical planning and codegen of a fresh
+  * `frames.select(...)` cost about as much driver time as the job on a
+  * 400 s window, and retrospective queries run cascades over the same
+  * stored windows again and again. So [[plannedRows]] keeps, for at most
+  * [[PlanMemoCap]] windows (least recently used out first), the planned
+  * rows of a selection whose cache-substituted plan
+  * (`queryExecution.withCachedData`) is deterministic projections and
+  * filters over exactly one cached table. The key is that plan
+  * canonicalized (so equal windows built apart share an entry), plus, by
+  * identity, the table's cache and the `SparkContext`: an `unpersist()`
+  * then `cache()` of a table gives an equal canonicalized plan over new
+  * cached blocks, and must miss. Any other input (uncached frames,
+  * `repartition`, unions) is planned per call. A hit still runs the one
+  * job. `SegmentStore.ingest` plans per call: each of its frame passes
+  * reads a table it has just been handed, so it never plans a plan twice.
   *
   * Speed metric: video duration / processing delay, in multiples of
   * realtime; retrieval and consumption are pipelined, so a stage's speed is
@@ -102,7 +123,7 @@ object QueryEngine {
     val repeated = names.diff(names.distinct).distinct
     require(repeated.isEmpty, s"runCascade: operator ${repeated.mkString(", ")} " +
       "appears in more than one stage, but per-op results are keyed by operator name")
-    val rows = frames.select("frame", "frameIdx", "isEvent").queryExecution.toRdd
+    val rows = plannedRows(frames.select("frame", "frameIdx", "isEvent"))
     val counters = spark.sparkContext
       .runJob(rows, new CascadeCounters(video, stages), rows.partitions.indices)
       .foldLeft(new Array[Long](1 + 3 * stages.size)) { (sum, c) =>
@@ -122,6 +143,61 @@ object QueryEngine {
       st.op.name -> OpResult(f1, sampled, tp, fn, decodeSec, opSec, videoSec / stageSec)
     }
     CascadeResult(perOp.toMap, cascadeSpeed(stages, perOp.map(_._2.stageSpeed)))
+  }
+
+  /** The most windows [[plannedRows]] keeps planned. */
+  private[query] val PlanMemoCap = 32
+
+  /** A planned window's memo key: `plan` by value, `cache` and `sc` by
+    * identity.
+    */
+  private final class PlanKey(private val plan: LogicalPlan, private val cache: AnyRef,
+                              private val sc: SparkContext) {
+    override def equals(o: Any): Boolean = o match {
+      case k: PlanKey => (k.cache eq cache) && (k.sc eq sc) && k.plan == plan
+      case _ => false
+    }
+    override val hashCode: Int = (plan, System.identityHashCode(cache), System.identityHashCode(sc)).##
+  }
+
+  /** Planned rows by window, in access order; guarded by its own lock. */
+  private val planMemo =
+    new java.util.LinkedHashMap[PlanKey, RDD[InternalRow]](2 * PlanMemoCap, 0.75f, true) {
+      override protected def removeEldestEntry(
+          e: java.util.Map.Entry[PlanKey, RDD[InternalRow]]): Boolean = size > PlanMemoCap
+    }
+
+  private[query] def planMemoSize: Int = planMemo.synchronized(planMemo.size)
+
+  /** `df`'s physical rows (`queryExecution.toRdd`), planned once per cached
+    * window (see [[QueryEngine]]).
+    */
+  private[query] def plannedRows(df: DataFrame): RDD[InternalRow] = {
+    val qe = df.queryExecution
+    memoKey(qe.withCachedData, df.sparkSession.sparkContext) match {
+      case None => qe.toRdd
+      case Some(key) =>
+        val hit = planMemo.synchronized(planMemo.get(key))
+        if (hit != null) hit
+        else {
+          val rows = qe.toRdd
+          planMemo.synchronized(Option(planMemo.putIfAbsent(key, rows)).getOrElse(rows))
+        }
+    }
+  }
+
+  /** The memo key of a deterministic `Project`/`Filter` chain over one
+    * cached table; None for any other plan.
+    */
+  private def memoKey(plan: LogicalPlan, sc: SparkContext): Option[PlanKey] = {
+    @tailrec def cachedScan(p: LogicalPlan): Option[InMemoryRelation] = p match {
+      case r: InMemoryRelation => Some(r)
+      case Project(_, child) => cachedScan(child)
+      case Filter(_, child) => cachedScan(child)
+      case _ => None
+    }
+    cachedScan(plan).filter(_ => plan.deterministic)
+      .map(r => new PlanKey(plan.canonicalized, r.cacheBuilder, sc))
   }
 
   /** Build the stages of a cascade from a consumer->CF and CF->SF mapping. */

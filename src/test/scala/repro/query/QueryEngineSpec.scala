@@ -1,5 +1,8 @@
 package repro.query
 
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.video.Knobs._
@@ -159,11 +162,14 @@ class QueryEngineSpec extends SparkSpec {
   }
 
   test("an empty frame table fails with a clear error") {
-    val e = intercept[IllegalArgumentException] {
-      QueryEngine.runCascade(spark, frames.filter(lit(false)), video,
-        Seq(stage(OperatorModel.Motion, 0.9)))
+    // twice: the second run reuses the first run's planned rows
+    for (_ <- 1 to 2) {
+      val e = intercept[IllegalArgumentException] {
+        QueryEngine.runCascade(spark, frames.filter(lit(false)), video,
+          Seq(stage(OperatorModel.Motion, 0.9)))
+      }
+      assert(e.getMessage.contains("frame table is empty"), e.getMessage)
     }
-    assert(e.getMessage.contains("frame table is empty"), e.getMessage)
   }
 
   test("an empty cascade fails with a clear error") {
@@ -210,7 +216,9 @@ class QueryEngineSpec extends SparkSpec {
           st.op.name -> (sampled.length.toLong, tp.toLong, (events.length - tp).toLong,
             decodeSec, opSec, videoSec / math.max(decodeSec, opSec))
         }
-        for ((input, layout) <- Seq(window -> "window", window.repartition(7) -> "repartition(7)")) {
+        val plannedAgain = table.filter(col("segId") < 400 / 8)
+        for ((input, layout) <- Seq(window -> "window", window.repartition(7) -> "repartition(7)",
+                                    plannedAgain -> "window, planned again")) {
           val res = QueryEngine.runCascade(spark, input, v, stages)
           val where = s"${v.name}@$acc $layout"
           assert(rel(res.querySpeed, 1.0 / timePerVideoSec) < 1e-9, where)
@@ -232,6 +240,81 @@ class QueryEngineSpec extends SparkSpec {
       c => cfg.cfOf(c), c => cfg.sfOf(c))
     frames.count() // materialise the cache outside the measured window
     assert(sparkActivity(QueryEngine.runCascade(spark, frames, video, stages)) === ((1, 0L)))
+  }
+
+  // ----- planned-rows memo -------------------------------------------------
+
+  private val cascadeCols = Seq("frame", "frameIdx", "isEvent")
+  /** A fresh selection of the cascade's columns: a new Dataset on every call. */
+  private def selected(df: DataFrame) = df.select(cascadeCols.map(col): _*)
+  private def rowsOf(rows: RDD[InternalRow]) = rows.map(_.copy()).collect().toSeq
+  private def firstSegs(df: DataFrame, n: Int) = df.filter(col("segId") < n)
+
+  test("equal windows share one planned-rows entry and give equal results") {
+    val a = QueryEngine.plannedRows(selected(firstSegs(frames, 10)))
+    val b = QueryEngine.plannedRows(selected(firstSegs(frames, 10)))
+    assert(a eq b)
+    val stages = QueryEngine.stagesFor(OperatorModel.queryB, 0.8,
+      c => cfg.cfOf(c), c => cfg.sfOf(c))
+    assert(QueryEngine.runCascade(spark, firstSegs(frames, 10), video, stages) ===
+      QueryEngine.runCascade(spark, firstSegs(frames, 10), video, stages))
+  }
+
+  test("another segId literal, cached video or column list gets its own entry") {
+    val other = SynthVideo.frames(spark, VideoProfile.dashcam, durationSec = 160).cache()
+    val variants = Seq[() => DataFrame](
+      () => selected(firstSegs(frames, 10)),
+      () => selected(firstSegs(frames, 11)),
+      () => selected(firstSegs(other, 10)),
+      () => firstSegs(frames, 10).select("isEvent", "frame"))
+    val planned = variants.map(v => QueryEngine.plannedRows(v()))
+    for (((v, rows), i) <- variants.zip(planned).zipWithIndex) {
+      assert(QueryEngine.plannedRows(v()) eq rows, s"variant $i is not memoized")
+      assert(planned.count(_ eq rows) === 1, s"variant $i shares an entry")
+      assert(rowsOf(rows) === rowsOf(v().queryExecution.toRdd), s"variant $i")
+    }
+    other.unpersist()
+  }
+
+  test("uncached frames, a repartition and a union are planned per call") {
+    // 88 s: no other test caches a jackson table of this length
+    val uncached = SynthVideo.frames(spark, video, durationSec = 88)
+    val window = firstSegs(frames, 10)
+    for ((input, what) <- Seq(uncached -> "uncached", window.repartition(7) -> "repartition(7)",
+                              window.union(window) -> "union")) {
+      val before = QueryEngine.planMemoSize
+      val (a, b) = (QueryEngine.plannedRows(selected(input)), QueryEngine.plannedRows(selected(input)))
+      assert(a ne b, what)
+      assert(QueryEngine.planMemoSize === before, what)
+    }
+  }
+
+  test("an unpersist() then cache() of the same DataFrame misses") {
+    val table = SynthVideo.frames(spark, video, durationSec = 120).cache()
+    val first = QueryEngine.plannedRows(selected(firstSegs(table, 5)))
+    table.unpersist()
+    table.cache()
+    val second = QueryEngine.plannedRows(selected(firstSegs(table, 5)))
+    assert(second ne first)
+    assert(rowsOf(second) === rowsOf(selected(firstSegs(table, 5)).queryExecution.toRdd))
+    table.unpersist()
+  }
+
+  test("the planned-rows memo never exceeds its cap") {
+    for (n <- 1 to QueryEngine.PlanMemoCap + 5) {
+      QueryEngine.plannedRows(selected(firstSegs(frames, 1000 + n)))
+      assert(QueryEngine.planMemoSize <= QueryEngine.PlanMemoCap, s"after $n windows")
+    }
+    assert(QueryEngine.planMemoSize === QueryEngine.PlanMemoCap)
+  }
+
+  test("a cascade over already planned rows is one Spark job with no shuffle") {
+    val stages = QueryEngine.stagesFor(OperatorModel.queryB, 0.8,
+      c => cfg.cfOf(c), c => cfg.sfOf(c))
+    QueryEngine.runCascade(spark, firstSegs(frames, 12), video, stages)
+    val rows = QueryEngine.plannedRows(selected(firstSegs(frames, 12)))
+    assert(QueryEngine.plannedRows(selected(firstSegs(frames, 12))) eq rows)
+    assert(sparkActivity(QueryEngine.runCascade(spark, firstSegs(frames, 12), video, stages)) === ((1, 0L)))
   }
 
   test("the cascade's task function is a named class, not a lambda") {
