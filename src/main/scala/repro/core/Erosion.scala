@@ -18,13 +18,14 @@ object Erosion {
 
   /** A consumer as the erosion planner sees it: its subscribed format plus
     * its consumption speed and the retrieval speed each candidate fallback
-    * format would give it.
+    * format on its fallback chain (its format and that one's ancestors)
+    * would give it.
     */
   final case class ErosionConsumer(
       name: String,
       subscribed: StorageFormat,
       consumptionSpeed: Double,
-      retrievalSpeedOf: Map[StorageFormat, Double],
+      retrievalSpeedOf: StorageFormat => Double,
   ) {
     /** Effective speed when served entirely from `sf` (pipeline min). */
     def effectiveSpeed(sf: StorageFormat): Double =
@@ -94,7 +95,6 @@ object Erosion {
     consumers.foreach(c => require(indexOf.contains(c.subscribed),
       s"erosion: consumer ${c.name} subscribes to ${c.subscribed}, which is not in the format tree"))
     private val names = erodible.map(_.toString).toArray
-    private val maxIter = (tree.formats.size / Step).toInt + 200
     private val chains: Array[Chain] = consumers.map { c =>
       val orig = c.effectiveSpeed(c.subscribed)
       val levels = if (orig <= 0) Nil else c.subscribed :: tree.ancestors(c.subscribed)
@@ -125,13 +125,12 @@ object Erosion {
     /** Erode `del` in place, greedily, until overall speed <= `target`, in
       * `Step`-sized deletion increments, always picking the format whose
       * next increment reduces the overall speed the least (fair-scheduler
-      * spirit: spread decay evenly; never touch the root).
+      * spirit: spread decay evenly; never touch the root). A format takes
+      * at most 1 / `Step` steps, so this ends.
       */
     def erode(del: Array[Double], target: Double): Array[Double] = {
       var speed = overall(del)
-      var guard = 0
-      while (speed > target && guard < maxIter) {
-        guard += 1
+      while (speed > target) {
         // least speed reduction first; tie-break deterministically by name
         var best = -1
         var bestSpeed = 0.0

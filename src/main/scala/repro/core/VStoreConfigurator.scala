@@ -69,15 +69,15 @@ object VStoreConfigurator {
     derived.map(d => (d.consumer, ConsumptionFormat(d.fidelity), d.consumptionSpeed)).toVector
 
   /** Erosion inputs for a configuration: the richer-than tree and the
-    * consumer views (consumption + per-format retrieval speeds).
+    * consumer views (consumption speed, and the codec model's retrieval
+    * speed of any format at the consumer's sampling rate).
     */
   def erosionInputs(cfg: Configuration): (FormatTree, Vector[Erosion.ErosionConsumer]) = {
     val tree = Formats.buildTree(cfg.golden, cfg.sfs)
     val consumers = cfg.derived.map { d =>
       val fps = d.fidelity.sampling.fps
-      val retr = tree.formats.map(sf => sf -> CodecModel.retrievalSpeed(sf, fps)).toMap
       Erosion.ErosionConsumer(d.consumer.toString, cfg.sfOf(d.consumer),
-        d.consumptionSpeed, retr)
+        d.consumptionSpeed, CodecModel.retrievalSpeed(_, fps))
     }
     (tree, consumers)
   }

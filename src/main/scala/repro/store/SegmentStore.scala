@@ -4,7 +4,6 @@ import org.apache.spark.TaskContext
 import org.apache.spark.sql.{DataFrame, Dataset, Encoders, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions._
-import org.apache.spark.unsafe.types.UTF8String
 import repro.video.Formats._
 import repro.video.{CodecModel, SynthVideo, VideoProfile}
 
@@ -12,14 +11,14 @@ import repro.video.{CodecModel, SynthVideo, VideoProfile}
   *
   * Ingestion transcodes each 8-second segment of the incoming stream into
   * every storage format of the configuration (§5). One Spark job, `runJob`
-  * over the physical plan's rows (`queryExecution.toRdd`, read by ordinal,
-  * so no encoder or per-frame object is built), streams the frames once and
-  * returns, per partition, each segment's frame count and motion sum; the
-  * driver merges the partials of segments split across partitions and
-  * applies the codec model to each segment under each storage format,
-  * emitting one catalog row per (segment, format) with its stored size.
-  * The catalog is per-segment metadata, so it is returned as a driver-local
-  * Dataset. The task function is a named class,
+  * over the physical plan's (segId, motion) rows (`queryExecution.toRdd`,
+  * read by ordinal, so no encoder or per-frame object is built), streams one
+  * stream's frames once and returns, per partition, each segment's frame
+  * count and motion sum; the driver merges the partials of segments split
+  * across partitions and applies the codec model to each segment under each
+  * storage format, emitting one catalog row per (segment, format) with its
+  * stored size. The catalog is per-segment metadata, so it is returned as a
+  * driver-local Dataset. The task function is a named class,
   * [[SegmentPartials]], for the reason given at `QueryEngine`: Spark's
   * closure cleaner returns at once for it.
   *
@@ -37,10 +36,12 @@ object SegmentStore {
     */
   final case class StoredSegment(video: String, segId: Long, sfId: Int, bytes: Double)
 
-  /** Ingest: transcode `frames` into each storage format.
+  /** Ingest: transcode `frames`, the frame table of the stream `video`,
+    * into each storage format.
     *
     * Eager: the one Spark job over `frames` runs when `ingest` is called, and
-    * the returned catalog is a local Dataset, sorted by (video, segId, sfId).
+    * the returned catalog is a local Dataset, sorted by (segId, sfId). A
+    * table of several streams fails: its segments are too long.
     *
     * The per-segment motion level modulates encoded size the way content
     * complexity does for x264 (heavier motion compresses worse), so each
@@ -50,20 +51,22 @@ object SegmentStore {
   def ingest(spark: SparkSession, frames: DataFrame, sfs: Seq[StorageFormat],
              video: VideoProfile): Dataset[StoredSegment] = {
     require(sfs.nonEmpty, "ingest: the configuration has no storage formats")
-    val rows = frames.select("video", "segId", "motion").queryExecution.toRdd
+    val rows = frames.select("segId", "motion").queryExecution.toRdd
     val partials = spark.sparkContext.runJob(rows, new SegmentPartials, rows.partitions.indices).flatten
-    val segments = partials.groupMapReduce(p => (p._1, p._2))(p => (p._3, p._4)) {
+    val segments = partials.groupMapReduce(_._1)(p => (p._2, p._3)) {
       case ((n1, s1), (n2, s2)) => (n1 + n2, s1 + s2)
     }
     val perSec = sfs.map(CodecModel.storedBytesPerSec(_, video))
-    val catalog = segments.toSeq.sortBy(_._1).flatMap { case ((v, seg), (n, motionSum)) =>
+    val catalog = segments.toSeq.sortBy(_._1).flatMap { case (seg, (n, motionSum)) =>
+      require(n <= SynthVideo.SegmentFrames, s"ingest: segment $seg has $n frames, more than " +
+        s"${SynthVideo.SegmentFrames}; a frame table must hold one stream")
       val segSec = n.toDouble / SynthVideo.Fps
       // mean motion of this segment relative to the dataset mean (1.0)
       val rel = math.max(0.25, math.min(4.0, motionSum / n / video.motionFactor))
       sfs.indices.map { i =>
         // raw size is content-independent
         val scale = if (sfs(i).coding.isRaw) 1.0 else rel
-        StoredSegment(v, seg, i, perSec(i) * segSec * scale)
+        StoredSegment(video.name, seg, i, perSec(i) * segSec * scale)
       }
     }
     spark.createDataset(catalog)(storedSegmentEncoder)
@@ -97,42 +100,36 @@ object SegmentStore {
   }
 }
 
-/** [[SegmentStore.ingest]]'s task: over rows of (video, segId, motion), one
-  * partition's (video, segId, frames, motion sum) per segment; a segment
-  * that straddles partitions yields one partial in each. It keeps a
-  * running total for the current segment and touches the map only when the
-  * segment changes, which in the frame table's segment order is once per
-  * segment. A named class, not a lambda, so that Spark's closure cleaner
-  * skips it.
+/** [[SegmentStore.ingest]]'s task: over rows of (segId, motion), one
+  * partition's (segId, frames, motion sum) per segment; a segment that
+  * straddles partitions yields one partial in each. It keeps a running
+  * total for the current segment and touches the map only when the segment
+  * changes, which in the frame table's segment order is once per segment.
+  * A named class, not a lambda, so that Spark's closure cleaner skips it.
   */
 private[store] final class SegmentPartials
-    extends ((TaskContext, Iterator[InternalRow]) => Array[(String, Long, Int, Double)])
-    with Serializable {
-  def apply(task: TaskContext, rows: Iterator[InternalRow]): Array[(String, Long, Int, Double)] = {
-    var acc = Map.empty[(String, Long), (Int, Double)]
-    // the current run; `toRdd` may reuse a row's buffer for the next row,
-    // so the video name kept across rows is a copy
-    var video: UTF8String = null
+    extends ((TaskContext, Iterator[InternalRow]) => Array[(Long, Int, Double)]) with Serializable {
+  def apply(task: TaskContext, rows: Iterator[InternalRow]): Array[(Long, Int, Double)] = {
+    var acc = Map.empty[Long, (Int, Double)]
+    // the current run
     var seg = 0L
     var n = 0
     var motion = 0.0
     def flush(): Unit = if (n > 0) {
-      val key = (video.toString, seg)
-      val (n0, m0) = acc.getOrElse(key, (0, 0.0))
-      acc = acc.updated(key, (n0 + n, m0 + motion))
+      val (n0, m0) = acc.getOrElse(seg, (0, 0.0))
+      acc = acc.updated(seg, (n0 + n, m0 + motion))
     }
     rows.foreach { r =>
-      if (n == 0 || r.getLong(1) != seg || r.getUTF8String(0) != video) {
+      if (n == 0 || r.getLong(0) != seg) {
         flush()
-        video = r.getUTF8String(0).clone()
-        seg = r.getLong(1)
+        seg = r.getLong(0)
         n = 0
         motion = 0.0
       }
       n += 1
-      motion += r.getDouble(2)
+      motion += r.getDouble(1)
     }
     flush()
-    acc.iterator.map { case ((v, s), (k, m)) => (v, s, k, m) }.toArray
+    acc.iterator.map { case (s, (k, m)) => (s, k, m) }.toArray
   }
 }

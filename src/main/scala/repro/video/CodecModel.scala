@@ -75,7 +75,7 @@ object CodecModel {
     sf.coding match {
       case Raw => f.pixelsPerFrame * RawStoredBytesPerPixel * f.sampling.fps
       case Encoded(step, kf) =>
-        val temporalPenalty = math.pow(30.0 / f.sampling.fps, 0.25)
+        val temporalPenalty = math.pow(FrameSampling.IngestFps / f.sampling.fps, 0.25)
         f.rawBytesPerSec * qualitySizeFactor(f.quality) * kfSizeFactor(kf) *
           stepSizeFactor(step) * video.motionFactor * temporalPenalty
     }

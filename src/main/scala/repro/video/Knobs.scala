@@ -67,13 +67,15 @@ object Knobs {
     }
   }
 
-  /** Frame sampling rate: fraction of the 30 fps ingest stream retained. */
+  /** Frame sampling rate: fraction of the ingest stream's frames retained. */
   sealed abstract class FrameSampling(val rank: Int, val fraction: Double, val label: String) {
-    /** Frames per second after sampling a 30 fps stream. */
-    def fps: Double = 30.0 * fraction
+    /** Frames per second after sampling the ingest stream. */
+    def fps: Double = FrameSampling.IngestFps * fraction
     override def toString: String = label
   }
   object FrameSampling {
+    /** Frames per second of the ingest stream (720p30). */
+    val IngestFps = 30
     case object S1_30 extends FrameSampling(0, 1.0 / 30, "1/30")
     case object S1_5  extends FrameSampling(1, 1.0 / 5,  "1/5")
     case object S1_2  extends FrameSampling(2, 1.0 / 2,  "1/2")

@@ -2,22 +2,22 @@ package repro.video
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{DoubleType, IntegerType, LongType}
+import org.apache.spark.sql.types.{DoubleType, LongType}
 
 /** Deterministic synthetic video-frame tables (substitute for the six
   * benchmark videos — see DESIGN.md).
   *
-  * A video is a table of frames at the ingest format (720p30): one row per
-  * frame with its segment id (8-second segments, 240 frames each, §4.1/§5),
-  * a ground-truth event flag (is there a car/plate in this frame) and a
-  * local motion level. All columns are pure functions of (video name, frame
-  * number) via xxhash64, so every run — and the DuckDB oracle — sees
-  * identical data.
+  * A frame table holds one stream at the ingest format (720p30): per frame,
+  * its segment id (8-second segments, 240 frames each, §4.1/§5), number, a
+  * ground-truth event flag (is there a car/plate in it) and a local motion
+  * level. Readers are handed the stream's `VideoProfile`. All columns are
+  * pure functions of (video name, frame number) via xxhash64, so every run
+  * — and the DuckDB oracle — sees identical data.
   */
 object SynthVideo {
 
   /** Frames per second of the ingest stream. */
-  val Fps = 30
+  val Fps: Int = Knobs.FrameSampling.IngestFps
 
   /** Frames per segment (8-second segments). */
   val SegmentFrames: Int = 8 * Fps
@@ -32,9 +32,7 @@ object SynthVideo {
     val n = durationSec.toLong * Fps
     val vid = lit(video.name)
     spark.range(n).select(
-      vid as "video",
       (col("id") / SegmentFrames).cast(LongType) as "segId",
-      (col("id") % SegmentFrames).cast(IntegerType) as "frameIdx",
       col("id") as "frame",
       (u01(vid, col("id"), "event") < video.eventRate) as "isEvent",
       (u01(vid, col("id"), "motion") * 2.0 * video.motionFactor) as "motion",

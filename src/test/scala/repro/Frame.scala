@@ -4,5 +4,4 @@ package repro
   * that collect frames and recompute on the driver what the store and the
   * cascade compute in Spark.
   */
-final case class Frame(video: String, segId: Long, frameIdx: Int, frame: Long,
-                       isEvent: Boolean, motion: Double)
+final case class Frame(segId: Long, frame: Long, isEvent: Boolean, motion: Double)

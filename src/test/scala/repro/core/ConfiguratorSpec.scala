@@ -79,9 +79,12 @@ class ConfiguratorSpec extends AnyFunSuite {
     val (tree, consumers) = VStoreConfigurator.erosionInputs(cfg)
     assert(consumers.size === cfg.derived.size)
     assert(tree.formats.toSet === cfg.sfs.toSet)
-    consumers.foreach { c =>
+    consumers.zip(cfg.derived).foreach { case (c, d) =>
+      assert(c.name === d.consumer.toString)
       assert(cfg.sfs.contains(c.subscribed))
-      cfg.sfs.foreach(sf => assert(c.retrievalSpeedOf.contains(sf)))
+      val fps = d.fidelity.sampling.fps
+      cfg.sfs.foreach(sf => assert(c.retrievalSpeedOf(sf) === CodecModel.retrievalSpeed(sf, fps),
+        s"${c.name} $sf"))
     }
   }
 

@@ -85,7 +85,8 @@ class QueryEngineSpec extends SparkSpec {
     // every detection is on an event frame: hits and misses split exactly
     // the sampled event frames
     val everyN = math.max(1, math.round(SynthVideo.Fps / st.cf.sampling.fps).toInt)
-    val sampledEvents = frames.filter(col("isEvent") && col("frameIdx") % everyN === 0).count()
+    val pos = col("frame") % SynthVideo.SegmentFrames
+    val sampledEvents = frames.filter(col("isEvent") && pos % everyN === 0).count()
     val r = res.perOp("Motion")
     assert(r.tp + r.fn === sampledEvents)
   }
@@ -144,13 +145,14 @@ class QueryEngineSpec extends SparkSpec {
     // sampling and the counting
     val probs = stages.map(st => st.op.detectProb(st.cf, video))
     val salts = stages.map(st => s"detect-${st.op.name}")
+    val name = video.name // not `video`: the closure must not capture the suite
     val det = frames.as[repro.Frame].map { f =>
-      val d = salts.zip(probs).map { case (salt, p) => SynthVideo.u01Scala(f.video, f.frame, salt) < p }
-      (f.frameIdx, f.isEvent, d(0), d(1), d(2))
-    }.toDF("frameIdx", "isEvent", "d0", "d1", "d2")
+      val d = salts.zip(probs).map { case (salt, p) => SynthVideo.u01Scala(name, f.frame, salt) < p }
+      (f.frame, f.isEvent, d(0), d(1), d(2))
+    }.toDF("frame", "isEvent", "d0", "d1", "d2")
     val sql = stages.zipWithIndex.map { case (st, i) =>
       val everyN = math.max(1, math.round(SynthVideo.Fps / st.cf.sampling.fps).toInt)
-      val sampled = s"CAST(frameIdx AS INT) % $everyN = 0"
+      val sampled = s"CAST(frame AS BIGINT) % ${SynthVideo.SegmentFrames} % $everyN = 0"
       val event = "CAST(isEvent AS BOOLEAN)"
       val hit = s"CAST(d$i AS BOOLEAN)"
       s"SELECT '${st.op.name}' AS op, " +
@@ -206,9 +208,9 @@ class QueryEngineSpec extends SparkSpec {
         val expect = stages.map { st =>
           val everyN = math.max(1, math.round(SynthVideo.Fps / st.cf.sampling.fps).toInt)
           val p = st.op.detectProb(st.cf, v)
-          val sampled = all.filter(_.frameIdx % everyN == 0)
+          val sampled = all.filter(_.frame % SynthVideo.SegmentFrames % everyN == 0)
           val events = sampled.filter(_.isEvent)
-          val tp = events.count(f => SynthVideo.u01Scala(f.video, f.frame, s"detect-${st.op.name}") < p)
+          val tp = events.count(f => SynthVideo.u01Scala(v.name, f.frame, s"detect-${st.op.name}") < p)
           val decodeSec = videoSec / CodecModel.retrievalSpeed(st.sf, st.cf.sampling.fps)
           val opSec = sampled.length * st.op.perFrameSec(st.cf.pixelsPerFrame)
           timePerVideoSec += fraction * math.max(decodeSec, opSec) / videoSec
@@ -244,7 +246,7 @@ class QueryEngineSpec extends SparkSpec {
 
   // ----- planned-rows memo -------------------------------------------------
 
-  private val cascadeCols = Seq("frame", "frameIdx", "isEvent")
+  private val cascadeCols = Seq("frame", "isEvent")
   /** A fresh selection of the cascade's columns: a new Dataset on every call. */
   private def selected(df: DataFrame) = df.select(cascadeCols.map(col): _*)
   private def rowsOf(rows: RDD[InternalRow]) = rows.map(_.copy()).collect().toSeq

@@ -24,6 +24,7 @@ class SegmentStoreSpec extends SparkSpec {
 
   test("a catalog row is (video, segId, sfId, bytes)") {
     assert(stored.columns.toSeq === Seq("video", "segId", "sfId", "bytes"))
+    assert(stored.collect().forall(_.video == video.name))
   }
 
   test("ingest emits one catalog row per (segment, format)") {
@@ -110,45 +111,60 @@ class SegmentStoreSpec extends SparkSpec {
   }
 
   /** The catalog `ingest` must produce, computed on the driver from the
-    * collected frames grouped by (video, segId).
+    * collected frames grouped by segId.
     */
   private def referenceIngest(frames: DataFrame, sfs: Seq[StorageFormat],
                               video: VideoProfile): Seq[StoredSegment] = {
     import spark.implicits._
-    frames.as[Frame].collect().toSeq.groupBy(f => (f.video, f.segId)).toSeq.flatMap {
-      case ((v, seg), fs) =>
-        val segSec = fs.size.toDouble / SynthVideo.Fps
-        val rel = math.max(0.25, math.min(4.0, fs.map(_.motion).sum / fs.size / video.motionFactor))
-        sfs.zipWithIndex.map { case (sf, i) =>
-          val scale = if (sf.coding.isRaw) 1.0 else rel
-          StoredSegment(v, seg, i, CodecModel.storedBytesPerSec(sf, video) * segSec * scale)
-        }
+    frames.as[Frame].collect().toSeq.groupBy(_.segId).toSeq.flatMap { case (seg, fs) =>
+      val segSec = fs.size.toDouble / SynthVideo.Fps
+      val rel = math.max(0.25, math.min(4.0, fs.map(_.motion).sum / fs.size / video.motionFactor))
+      sfs.zipWithIndex.map { case (sf, i) =>
+        val scale = if (sf.coding.isRaw) 1.0 else rel
+        StoredSegment(video.name, seg, i, CodecModel.storedBytesPerSec(sf, video) * segSec * scale)
+      }
     }
   }
 
   test("ingest equals a driver-side reference, also with segments split across partitions") {
-    val window = SynthVideo.frames(spark, video, durationSec = 400).cache()
-    val cases = Seq(
-      "400 s window" -> window,
-      "400 s window, repartition(7)" -> window.repartition(7),
-      // every row starts a new run, and each segment arrives in 240 runs
-      "400 s window, one partition sorted by frameIdx" ->
-        window.coalesce(1).sortWithinPartitions("frameIdx"),
-      "two-video union" -> SynthVideo.frames(spark, video, 400)
-        .unionByName(SynthVideo.frames(spark, VideoProfile.dashcam, 400)))
-    for ((where, table) <- cases) {
-      val rows = SegmentStore.ingest(spark, table, sfs, video).collect()
-      val got = rows.map(s => (s.video, s.segId, s.sfId) -> s).toMap
-      val want = referenceIngest(table, sfs, video).map(s => (s.video, s.segId, s.sfId) -> s).toMap
-      assert(rows.length === want.size, s"$where: one row per (video, segment, format)")
-      assert(got.keySet === want.keySet, where)
-      def rel(a: Double, b: Double) = math.abs(a - b) / math.max(math.abs(b), 1e-300)
-      want.foreach { case (k, w) =>
-        val g = got(k)
-        assert(rel(g.bytes, w.bytes) < 1e-9, s"$where $k bytes ${g.bytes} vs ${w.bytes}")
+    // a whole-segment window, and clips whose last segment is partial
+    val rawIdx = sfs.indexWhere(_.coding.isRaw)
+    for (sec <- Seq(400, 1, 41, 123)) {
+      val clip = SynthVideo.frames(spark, video, durationSec = sec).cache()
+      val lastSeg = (sec - 1) / 8
+      val layouts = Seq(
+        s"$sec s" -> clip,
+        s"$sec s, repartition(7)" -> clip.repartition(7),
+        // every row starts a new run, and each segment arrives in one run per frame
+        s"$sec s, one partition sorted by position in segment" ->
+          clip.coalesce(1).sortWithinPartitions(col("frame") % SynthVideo.SegmentFrames))
+      for ((where, table) <- layouts) {
+        val rows = SegmentStore.ingest(spark, table, sfs, video).collect()
+        val got = rows.map(s => (s.video, s.segId, s.sfId) -> s).toMap
+        val want = referenceIngest(table, sfs, video).map(s => (s.video, s.segId, s.sfId) -> s).toMap
+        assert(rows.length === want.size, s"$where: one row per (segment, format)")
+        assert(got.keySet === want.keySet, where)
+        assert(rows.map(_.segId).distinct.sorted.toSeq === (0 to lastSeg).map(_.toLong), where)
+        def rel(a: Double, b: Double) = math.abs(a - b) / math.max(math.abs(b), 1e-300)
+        want.foreach { case (k, w) =>
+          val g = got(k)
+          assert(rel(g.bytes, w.bytes) < 1e-9, s"$where $k bytes ${g.bytes} vs ${w.bytes}")
+        }
+        // the last segment holds the clip's remaining seconds; RAW size is content-independent
+        val lastRaw = got((video.name, lastSeg.toLong, rawIdx)).bytes
+        val rawWant = CodecModel.storedBytesPerSec(sfs(rawIdx), video) * (sec - 8 * lastSeg)
+        assert(rel(lastRaw, rawWant) < 1e-9, s"$where: last RAW segment $lastRaw vs $rawWant")
       }
+      clip.unpersist()
     }
-    window.unpersist()
+  }
+
+  test("ingesting a table of two streams fails naming the segment and the one-stream rule") {
+    val union = SynthVideo.frames(spark, VideoProfile.jackson, 16)
+      .unionByName(SynthVideo.frames(spark, VideoProfile.dashcam, 16))
+    val e = intercept[IllegalArgumentException](SegmentStore.ingest(spark, union, sfs, video))
+    assert(e.getMessage.contains("segment 0 has 480 frames"), e.getMessage)
+    assert(e.getMessage.contains("one stream"), e.getMessage)
   }
 
   test("ingest is one job with no shuffle; erode runs no job on a local catalog") {

@@ -8,7 +8,7 @@ class SynthVideoSpec extends SparkSpec {
   private lazy val df = SynthVideo.frames(spark, VideoProfile.jackson, durationSec = 40).cache()
 
   test("the frame table has exactly the columns its readers select") {
-    assert(df.columns.toSeq === Seq("video", "segId", "frameIdx", "frame", "isEvent", "motion"))
+    assert(df.columns.toSeq === Seq("segId", "frame", "isEvent", "motion"))
   }
 
   test("generates fps x duration frames") {
@@ -22,9 +22,13 @@ class SynthVideoSpec extends SparkSpec {
     assert(sizes.length === 5) // 40 s / 8 s
   }
 
-  test("frameIdx cycles within segments") {
-    val r = df.agg(min("frameIdx"), max("frameIdx")).collect().head
-    assert(r.getInt(0) === 0 && r.getInt(1) === 239)
+  test("segment s holds frames 240s until 240(s + 1)") {
+    val r = df.groupBy("segId").agg(min("frame"), max("frame")).collect()
+    assert(r.length === 5)
+    r.foreach { row =>
+      val s = row.getLong(0)
+      assert((row.getLong(1), row.getLong(2)) === ((240 * s, 240 * s + 239)), s"segment $s")
+    }
   }
 
   test("generation is deterministic in (video, duration)") {
@@ -68,7 +72,8 @@ class SynthVideoSpec extends SparkSpec {
     val u = SynthVideo.frames(spark, VideoProfile.jackson, 8)
       .unionByName(SynthVideo.frames(spark, VideoProfile.miami, 8))
     assert(u.count() === 2L * 8 * 30)
-    assert(u.select("video").distinct().count() === 2)
+    // each stream numbers its frames from 0, so every frame number appears twice
+    assert(u.groupBy("frame").count().filter(col("count") =!= 2).count() === 0)
   }
 
   test("u01Scala is deterministic and in [0,1)") {
