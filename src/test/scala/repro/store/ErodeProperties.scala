@@ -8,7 +8,9 @@ import repro.store.SegmentStore.StoredSegment
 /** `erode` on random catalogs (1–3 videos, gaps in segId, 1–4 SFs, each SF
   * holding its own subset of segments) equals the reference rule: drop the
   * round(n * f) smallest of the n distinct segIds the SF holds across every
-  * video, in every video, and leave every other SF's rows untouched.
+  * video, in every video, and leave every other SF's rows untouched. So does
+  * eroding the eroded catalog again, and `bytesByFormat` of an eroded catalog
+  * equals the reference's per-SF sums.
   */
 object ErodeProperties extends Properties("Erode") {
 
@@ -36,15 +38,39 @@ object ErodeProperties extends Properties("Erode") {
     rows.filterNot(r => r.sfId == sfId && doomed.contains(r.segId))
   }
 
+  private val order = (s: StoredSegment) => (s.video, s.sfId, s.segId)
+
   property("erode drops the round(n*f) oldest distinct segIds of one SF, in every video") =
     Prop.forAll(genCatalog, genFraction) { case ((rows, nSfs), f) =>
       Prop.forAll(Gen.choose(0, nSfs - 1)) { sfId =>
         implicit val spark = SparkSpec.shared
         import spark.implicits._
-        val order = (s: StoredSegment) => (s.video, s.sfId, s.segId)
         val got = SegmentStore.erode(spark.createDataset(rows), sfId, f).collect().toSeq.sortBy(order)
         val want = reference(rows, sfId, f).sortBy(order)
         (got == want) :| s"sf $sfId, f $f: kept ${got.size} rows, reference ${want.size}"
+      }
+    }
+
+  property("eroding an eroded catalog equals the reference rule applied twice") =
+    Prop.forAll(genCatalog, genFraction, genFraction) { case ((rows, nSfs), f, g) =>
+      Prop.forAll(Gen.choose(0, nSfs - 1), Gen.choose(0, nSfs - 1)) { (a, b) =>
+        implicit val spark = SparkSpec.shared
+        import spark.implicits._
+        val once = SegmentStore.erode(spark.createDataset(rows), a, f)
+        val got = SegmentStore.erode(once, b, g).collect().toSeq.sortBy(order)
+        val want = reference(reference(rows, a, f), b, g).sortBy(order)
+        (got == want) :| s"sf $a at $f, then sf $b at $g: kept ${got.size} rows, reference ${want.size}"
+      }
+    }
+
+  property("bytesByFormat of an eroded catalog equals a driver-side sum") =
+    Prop.forAll(genCatalog, genFraction) { case ((rows, nSfs), f) =>
+      Prop.forAll(Gen.choose(0, nSfs - 1)) { sfId =>
+        implicit val spark = SparkSpec.shared
+        import spark.implicits._
+        val got = SegmentStore.bytesByFormat(SegmentStore.erode(spark.createDataset(rows), sfId, f))
+        val want = reference(rows, sfId, f).groupMapReduce(_.sfId)(_.bytes)(_ + _)
+        (got == want) :| s"sf $sfId, f $f: totals $got, reference $want"
       }
     }
 }

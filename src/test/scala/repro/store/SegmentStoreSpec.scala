@@ -160,11 +160,25 @@ class SegmentStoreSpec extends SparkSpec {
   }
 
   test("ingesting a table of two streams fails naming the segment and the one-stream rule") {
-    val union = SynthVideo.frames(spark, VideoProfile.jackson, 16)
-      .unionByName(SynthVideo.frames(spark, VideoProfile.dashcam, 16))
-    val e = intercept[IllegalArgumentException](SegmentStore.ingest(spark, union, sfs, video))
-    assert(e.getMessage.contains("segment 0 has 480 frames"), e.getMessage)
-    assert(e.getMessage.contains("one stream"), e.getMessage)
+    // two 1 s clips: each segment holds at most 240 frames, but not one run of them
+    for ((sec, segment) <- Seq(16 -> "segment 0 has 480 frames",
+                               1 -> "segment 0 has 60 frames numbered 0 to 29")) {
+      val union = SynthVideo.frames(spark, VideoProfile.jackson, sec)
+        .unionByName(SynthVideo.frames(spark, VideoProfile.dashcam, sec))
+      val e = intercept[IllegalArgumentException](SegmentStore.ingest(spark, union, sfs, video))
+      assert(e.getMessage.contains(segment), e.getMessage)
+      assert(e.getMessage.contains("one stream"), e.getMessage)
+    }
+  }
+
+  test("erode and bytesByFormat reject a catalog that is not driver-local") {
+    implicit val s = spark
+    import spark.implicits._
+    val distributed = spark.createDataset(spark.sparkContext.parallelize(stored.collect().toSeq))
+    val errors = Seq(
+      intercept[IllegalArgumentException](SegmentStore.erode(distributed, 0, 0.4)),
+      intercept[IllegalArgumentException](SegmentStore.bytesByFormat(distributed)))
+    errors.foreach(e => assert(e.getMessage.contains("catalog is not driver-local"), e.getMessage))
   }
 
   test("ingest is one job with no shuffle; erode runs no job on a local catalog") {
