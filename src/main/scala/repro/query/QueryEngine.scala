@@ -48,8 +48,20 @@ import repro.video.OperatorModel.{Consumer, Operator}
   * identity, the table's cache and the `SparkContext`: an `unpersist()`
   * then `cache()` of a table gives an equal canonicalized plan over new
   * cached blocks, and must miss. Any other input (uncached frames,
-  * `repartition`, unions) is planned per call. A hit still runs the one
-  * job. `SegmentStore.ingest` plans per call, so perfbench's `ingest_erode`
+  * `repartition`, unions) is planned per call and runs every partition.
+  *
+  * A memoized window also keeps the partitions that held at least one of
+  * its rows, learned from the first job over it (each task's `c(0)`), and
+  * every later job runs only those. This is exact: the key pins the cached
+  * blocks and the `SparkContext`, and the plan over them is deterministic,
+  * so a partition that yielded no rows yields none again, and an empty
+  * partition adds only zeros to the summed counters. A cached table whose
+  * own plan is not deterministic (say, from `rand()`, under a storage level
+  * that recomputes lost blocks) could later put rows where none were, so a
+  * window over it learns nothing and runs every partition. A window's
+  * first job still runs every partition of the table. The set lives in the
+  * memo entry, so [[PlanMemoCap]] bounds it and a miss learns afresh.
+  * `SegmentStore.ingest` plans per call, so perfbench's `ingest_erode`
   * re-plans each stream's uncached day clip on every op; this memo keeps
   * only plans over a cached table, and no cached table is ingested twice.
   *
@@ -124,12 +136,13 @@ object QueryEngine {
     val repeated = names.diff(names.distinct).distinct
     require(repeated.isEmpty, s"runCascade: operator ${repeated.mkString(", ")} " +
       "appears in more than one stage, but per-op results are keyed by operator name")
-    val rows = plannedRows(frames.select("frame", "isEvent"))
-    val counters = spark.sparkContext
-      .runJob(rows, new CascadeCounters(video, stages), rows.partitions.indices)
-      .foldLeft(new Array[Long](1 + 3 * stages.size)) { (sum, c) =>
-        c.indices.foreach(j => sum(j) += c(j)); sum
-      }
+    val window = plannedRows(frames.select("frame", "isEvent"))
+    val parts = window.partitions
+    val perPartition = spark.sparkContext.runJob(window.rows, new CascadeCounters(video, stages), parts)
+    window.learn(parts, perPartition)
+    val counters = perPartition.foldLeft(new Array[Long](1 + 3 * stages.size)) { (sum, c) =>
+      c.indices.foreach(j => sum(j) += c(j)); sum
+    }
     require(counters(0) > 0, "runCascade: the frame table is empty")
 
     val videoSec = counters(0).toDouble / SynthVideo.Fps
@@ -161,36 +174,55 @@ object QueryEngine {
     override val hashCode: Int = (plan, System.identityHashCode(cache), System.identityHashCode(sc)).##
   }
 
-  /** Planned rows by window, in access order; guarded by its own lock. */
+  /** A window's planned rows and, once its first job has run, the partitions
+    * that held at least one of its rows. Only a window that `learns` keeps
+    * them: a memoized one over a deterministic cached table, for which a
+    * partition that yielded no rows yields none again (see [[QueryEngine]]).
+    */
+  private[query] final class PlannedWindow(val rows: RDD[InternalRow], learns: Boolean) {
+    @volatile private var live: Option[Seq[Int]] = None
+
+    /** The partitions the next job over this window runs. */
+    def partitions: Seq[Int] = live.getOrElse(rows.partitions.indices)
+
+    /** Keep the partitions of `ran` whose task counted a frame, `c(0)`. */
+    def learn(ran: Seq[Int], perPartition: Array[Array[Long]]): Unit =
+      if (learns && live.isEmpty)
+        live = Some(ran.zip(perPartition).collect { case (p, c) if c(0) > 0 => p })
+  }
+
+  /** Planned windows, in access order; guarded by its own lock. */
   private val planMemo =
-    new java.util.LinkedHashMap[PlanKey, RDD[InternalRow]](2 * PlanMemoCap, 0.75f, true) {
+    new java.util.LinkedHashMap[PlanKey, PlannedWindow](2 * PlanMemoCap, 0.75f, true) {
       override protected def removeEldestEntry(
-          e: java.util.Map.Entry[PlanKey, RDD[InternalRow]]): Boolean = size > PlanMemoCap
+          e: java.util.Map.Entry[PlanKey, PlannedWindow]): Boolean = size > PlanMemoCap
     }
 
   private[query] def planMemoSize: Int = planMemo.synchronized(planMemo.size)
 
-  /** `df`'s physical rows (`queryExecution.toRdd`), planned once per cached
-    * window (see [[QueryEngine]]).
+  /** `df`'s physical rows (`queryExecution.toRdd`) as a window, planned
+    * once per cached window (see [[QueryEngine]]).
     */
-  private[query] def plannedRows(df: DataFrame): RDD[InternalRow] = {
+  private[query] def plannedRows(df: DataFrame): PlannedWindow = {
     val qe = df.queryExecution
-    memoKey(qe.withCachedData, df.sparkSession.sparkContext) match {
-      case None => qe.toRdd
-      case Some(key) =>
+    val plan = qe.withCachedData
+    cachedTable(plan) match {
+      case None => new PlannedWindow(qe.toRdd, learns = false)
+      case Some(table) =>
+        val key = new PlanKey(plan.canonicalized, table.cacheBuilder, df.sparkSession.sparkContext)
         val hit = planMemo.synchronized(planMemo.get(key))
         if (hit != null) hit
         else {
-          val rows = qe.toRdd
-          planMemo.synchronized(Option(planMemo.putIfAbsent(key, rows)).getOrElse(rows))
+          val window = new PlannedWindow(qe.toRdd, learns = deterministic(table.cacheBuilder.logicalPlan))
+          planMemo.synchronized(Option(planMemo.putIfAbsent(key, window)).getOrElse(window))
         }
     }
   }
 
-  /** The memo key of a deterministic `Project`/`Filter` chain over one
-    * cached table; None for any other plan.
+  /** The one cached table under a deterministic `Project`/`Filter` chain;
+    * None for any other plan.
     */
-  private def memoKey(plan: LogicalPlan, sc: SparkContext): Option[PlanKey] = {
+  private def cachedTable(plan: LogicalPlan): Option[InMemoryRelation] = {
     @tailrec def cachedScan(p: LogicalPlan): Option[InMemoryRelation] = p match {
       case r: InMemoryRelation => Some(r)
       case Project(_, child) => cachedScan(child)
@@ -198,8 +230,15 @@ object QueryEngine {
       case _ => None
     }
     cachedScan(plan).filter(_ => plan.deterministic)
-      .map(r => new PlanKey(plan.canonicalized, r.cacheBuilder, sc))
   }
+
+  /** Whether `plan` and the plans of the cached tables it reads are
+    * deterministic. A cached table is a leaf of the plan over it, so
+    * `plan.deterministic` alone does not look inside it.
+    */
+  private def deterministic(plan: LogicalPlan): Boolean =
+    plan.deterministic &&
+      plan.collect { case r: InMemoryRelation => r }.forall(r => deterministic(r.cacheBuilder.logicalPlan))
 
   /** Build the stages of a cascade from a consumer->CF and CF->SF mapping. */
   def stagesFor(cascade: Seq[Operator], accuracy: Double,

@@ -9,10 +9,10 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
-  * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled, so a join in a test takes the
-  * shuffle path.
+  * Driver heap is `-Xmx` from SPARK_DRIVER_MEM, set in build.sbt's
+  * ``Test / javaOptions`` (48g when unset). The Tier-1 command in ROADMAP.md
+  * exports it as half of the host's `MemTotal`, clamped to 2–8 g. Broadcast
+  * joins are disabled, so a join in a test takes the shuffle path.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -21,14 +21,23 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
   /** Spark jobs started and shuffle bytes written while `body` runs. */
   def sparkActivity(body: => Unit): (Int, Long) = {
+    val (jobs, shuffleWriteBytes, _) = sparkTaskActivity(body)
+    (jobs, shuffleWriteBytes)
+  }
+
+  /** [[sparkActivity]] plus the number of tasks that finished. */
+  def sparkTaskActivity(body: => Unit): (Int, Long, Int) = {
     val sc = spark.sparkContext
     val jobs = new AtomicInteger
+    val tasks = new AtomicInteger
     val shuffleWriteBytes = new AtomicLong
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
-      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit = {
+        tasks.incrementAndGet()
         if (e.taskMetrics != null)
           shuffleWriteBytes.addAndGet(e.taskMetrics.shuffleWriteMetrics.bytesWritten)
+      }
     }
     ListenerBusAccess.drain(sc)
     sc.addSparkListener(listener)
@@ -36,7 +45,7 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
       body
       ListenerBusAccess.drain(sc)
     } finally sc.removeSparkListener(listener)
-    (jobs.get, shuffleWriteBytes.get)
+    (jobs.get, shuffleWriteBytes.get, tasks.get)
   }
 }
 
@@ -49,8 +58,8 @@ object SparkSpec {
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in test output with the driver heap setting, the master and
+    // the default parallelism this run got.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +

@@ -164,13 +164,16 @@ class QueryEngineSpec extends SparkSpec {
   }
 
   test("an empty frame table fails with a clear error") {
-    // twice: the second run reuses the first run's planned rows
-    for (_ <- 1 to 2) {
+    // three times: the second run reuses the first run's planned rows and
+    // the empty partition set it learned, and so does the third. `lit(false)`
+    // is planned as no partitions at all; `segId < 0` runs every partition
+    // of the cached table once, and then none.
+    for ((empty, what) <- Seq(frames.filter(lit(false)) -> "lit(false)",
+                              frames.filter(col("segId") < 0) -> "segId < 0"); call <- 1 to 3) {
       val e = intercept[IllegalArgumentException] {
-        QueryEngine.runCascade(spark, frames.filter(lit(false)), video,
-          Seq(stage(OperatorModel.Motion, 0.9)))
+        QueryEngine.runCascade(spark, empty, video, Seq(stage(OperatorModel.Motion, 0.9)))
       }
-      assert(e.getMessage.contains("frame table is empty"), e.getMessage)
+      assert(e.getMessage.contains("frame table is empty"), s"$what, call $call: ${e.getMessage}")
     }
   }
 
@@ -193,44 +196,19 @@ class QueryEngineSpec extends SparkSpec {
     import spark.implicits._
     // a 400 s window filtered from a cached 480 s table, as the benchmark
     // filters its cached streams
-    def rel(a: Double, b: Double) = math.abs(a - b) / math.max(math.abs(b), 1e-300)
     for ((v, cascade) <- Seq((VideoProfile.jackson, OperatorModel.queryA),
                              (VideoProfile.dashcam, OperatorModel.queryB))) {
       val table = SynthVideo.frames(spark, v, durationSec = 480).cache()
       val window = table.filter(col("segId") < 400 / 8)
-      val all = window.as[repro.Frame].collect()
-      val videoSec = all.length.toDouble / SynthVideo.Fps
+      val all = window.as[repro.Frame].collect().toSeq
       for (acc <- OperatorModel.accuracyLevels) {
         val stages = QueryEngine.stagesFor(cascade, acc, c => cfg.cfOf(c), c => cfg.sfOf(c))
-        // reference: one loop per stage over the collected frames
-        var fraction = 1.0
-        var timePerVideoSec = 0.0
-        val expect = stages.map { st =>
-          val everyN = math.max(1, math.round(SynthVideo.Fps / st.cf.sampling.fps).toInt)
-          val p = st.op.detectProb(st.cf, v)
-          val sampled = all.filter(_.frame % SynthVideo.SegmentFrames % everyN == 0)
-          val events = sampled.filter(_.isEvent)
-          val tp = events.count(f => SynthVideo.u01Scala(v.name, f.frame, s"detect-${st.op.name}") < p)
-          val decodeSec = videoSec / CodecModel.retrievalSpeed(st.sf, st.cf.sampling.fps)
-          val opSec = sampled.length * st.op.perFrameSec(st.cf.pixelsPerFrame)
-          timePerVideoSec += fraction * math.max(decodeSec, opSec) / videoSec
-          fraction *= st.op.selectivity
-          st.op.name -> (sampled.length.toLong, tp.toLong, (events.length - tp).toLong,
-            decodeSec, opSec, videoSec / math.max(decodeSec, opSec))
-        }
+        val expect = QueryEngineSpec.reference(all, v, stages)
         val plannedAgain = table.filter(col("segId") < 400 / 8)
         for ((input, layout) <- Seq(window -> "window", window.repartition(7) -> "repartition(7)",
                                     plannedAgain -> "window, planned again")) {
-          val res = QueryEngine.runCascade(spark, input, v, stages)
-          val where = s"${v.name}@$acc $layout"
-          assert(rel(res.querySpeed, 1.0 / timePerVideoSec) < 1e-9, where)
-          for ((op, (sampled, tp, fn, decodeSec, opSec, stageSpeed)) <- expect) {
-            val r = res.perOp(op)
-            assert((r.sampled, r.tp, r.fn) === ((sampled, tp, fn)), s"$where $op")
-            assert(rel(r.decodeSec, decodeSec) < 1e-9, s"$where $op decodeSec")
-            assert(rel(r.opSec, opSec) < 1e-9, s"$where $op opSec")
-            assert(rel(r.stageSpeed, stageSpeed) < 1e-9, s"$where $op stageSpeed")
-          }
+          val wrong = QueryEngineSpec.mismatches(QueryEngine.runCascade(spark, input, v, stages), expect)
+          assert(wrong.isEmpty, s"${v.name}@$acc $layout: ${wrong.mkString("; ")}")
         }
       }
       table.unpersist()
@@ -270,10 +248,10 @@ class QueryEngineSpec extends SparkSpec {
       () => selected(firstSegs(other, 10)),
       () => firstSegs(frames, 10).select("isEvent", "frame"))
     val planned = variants.map(v => QueryEngine.plannedRows(v()))
-    for (((v, rows), i) <- variants.zip(planned).zipWithIndex) {
-      assert(QueryEngine.plannedRows(v()) eq rows, s"variant $i is not memoized")
-      assert(planned.count(_ eq rows) === 1, s"variant $i shares an entry")
-      assert(rowsOf(rows) === rowsOf(v().queryExecution.toRdd), s"variant $i")
+    for (((v, window), i) <- variants.zip(planned).zipWithIndex) {
+      assert(QueryEngine.plannedRows(v()) eq window, s"variant $i is not memoized")
+      assert(planned.count(_ eq window) === 1, s"variant $i shares an entry")
+      assert(rowsOf(window.rows) === rowsOf(v().queryExecution.toRdd), s"variant $i")
     }
     other.unpersist()
   }
@@ -298,7 +276,7 @@ class QueryEngineSpec extends SparkSpec {
     table.cache()
     val second = QueryEngine.plannedRows(selected(firstSegs(table, 5)))
     assert(second ne first)
-    assert(rowsOf(second) === rowsOf(selected(firstSegs(table, 5)).queryExecution.toRdd))
+    assert(rowsOf(second.rows) === rowsOf(selected(firstSegs(table, 5)).queryExecution.toRdd))
     table.unpersist()
   }
 
@@ -313,10 +291,37 @@ class QueryEngineSpec extends SparkSpec {
   test("a cascade over already planned rows is one Spark job with no shuffle") {
     val stages = QueryEngine.stagesFor(OperatorModel.queryB, 0.8,
       c => cfg.cfOf(c), c => cfg.sfOf(c))
-    QueryEngine.runCascade(spark, firstSegs(frames, 12), video, stages)
-    val rows = QueryEngine.plannedRows(selected(firstSegs(frames, 12)))
-    assert(QueryEngine.plannedRows(selected(firstSegs(frames, 12))) eq rows)
-    assert(sparkActivity(QueryEngine.runCascade(spark, firstSegs(frames, 12), video, stages)) === ((1, 0L)))
+    // segments 6 to 11: no other test plans this window, so its first run
+    // here is the one that learns which partitions hold its rows
+    def window = frames.filter(col("segId") >= 6 && col("segId") < 12)
+    frames.count() // materialise the cache outside the measured window
+    val all = window.queryExecution.toRdd.getNumPartitions
+    val live = window.select(spark_partition_id()).distinct().count().toInt
+    assert(sparkTaskActivity(QueryEngine.runCascade(spark, window, video, stages)) === ((1, 0L, all)))
+    val planned = QueryEngine.plannedRows(selected(window))
+    assert(QueryEngine.plannedRows(selected(window)) eq planned)
+    assert(planned.partitions.size === live)
+    for (rerun <- 1 to 2)
+      assert(sparkTaskActivity(QueryEngine.runCascade(spark, window, video, stages)) === ((1, 0L, live)),
+        s"re-run $rerun")
+  }
+
+  test("a window over a nondeterministic cached table runs every partition on every call") {
+    // `rand` decides which frames the table holds; were its blocks
+    // recomputed, rows could land in a partition that held none of the
+    // window's rows before, so the window must not learn a partition set
+    val table = SynthVideo.frames(spark, video, durationSec = 120).filter(rand(7) < 0.5).cache()
+    def window = table.filter(col("segId") < 3)
+    table.count()
+    val all = window.queryExecution.toRdd.getNumPartitions
+    val stages = Seq(stage(OperatorModel.Motion, 0.9))
+    val results = scala.collection.mutable.ArrayBuffer.empty[QueryEngine.CascadeResult]
+    for (call <- 1 to 3)
+      assert(sparkTaskActivity(results += QueryEngine.runCascade(spark, window, video, stages)) ===
+        ((1, 0L, all)), s"call $call")
+    assert(results.distinct.size === 1)
+    assert(QueryEngine.plannedRows(selected(window)).partitions.size === all)
+    table.unpersist()
   }
 
   test("the cascade's task function is a named class, not a lambda") {
@@ -332,5 +337,54 @@ class QueryEngineSpec extends SparkSpec {
     val viaOwn = Stage(OperatorModel.Motion, motionCf, cfg.sfOf(Consumer(OperatorModel.Motion, 0.8)))
     val viaGolden = Stage(OperatorModel.Motion, motionCf, cfg.golden)
     assert(QueryEngine.analyticStageSpeed(viaGolden) < QueryEngine.analyticStageSpeed(viaOwn) / 10)
+  }
+}
+
+object QueryEngineSpec {
+
+  /** One op's reference totals: sampled, tp, fn, decodeSec, opSec, stageSpeed. */
+  type OpTotals = (Long, Long, Long, Double, Double, Double)
+
+  /** A cascade's reference result: the query speed and each op's totals. */
+  final case class Reference(querySpeed: Double, perOp: Seq[(String, OpTotals)])
+
+  /** The driver-side reference of a cascade over `all`, the collected frames
+    * of `v`'s frame table: one loop per stage.
+    */
+  def reference(all: Seq[repro.Frame], v: VideoProfile, stages: Seq[Stage]): Reference = {
+    val videoSec = all.length.toDouble / SynthVideo.Fps
+    var fraction = 1.0
+    var timePerVideoSec = 0.0
+    val perOp = stages.map { st =>
+      val everyN = math.max(1, math.round(SynthVideo.Fps / st.cf.sampling.fps).toInt)
+      val p = st.op.detectProb(st.cf, v)
+      val sampled = all.filter(_.frame % SynthVideo.SegmentFrames % everyN == 0)
+      val events = sampled.filter(_.isEvent)
+      val tp = events.count(f => SynthVideo.u01Scala(v.name, f.frame, s"detect-${st.op.name}") < p)
+      val decodeSec = videoSec / CodecModel.retrievalSpeed(st.sf, st.cf.sampling.fps)
+      val opSec = sampled.length * st.op.perFrameSec(st.cf.pixelsPerFrame)
+      timePerVideoSec += fraction * math.max(decodeSec, opSec) / videoSec
+      fraction *= st.op.selectivity
+      st.op.name -> ((sampled.length.toLong, tp.toLong, (events.length - tp).toLong,
+        decodeSec, opSec, videoSec / math.max(decodeSec, opSec)))
+    }
+    Reference(1.0 / timePerVideoSec, perOp)
+  }
+
+  /** Each way `res` differs from `ref`: counts must be equal, and times and
+    * speeds equal within 1e-9 relative. Empty when they agree.
+    */
+  def mismatches(res: QueryEngine.CascadeResult, ref: Reference): Seq[String] = {
+    def rel(a: Double, b: Double) = math.abs(a - b) / math.max(math.abs(b), 1e-300)
+    def near(what: String, got: Double, want: Double) =
+      if (rel(got, want) < 1e-9) None else Some(s"$what $got, reference $want")
+    near("querySpeed", res.querySpeed, ref.querySpeed).toSeq ++ ref.perOp.flatMap {
+      case (op, (sampled, tp, fn, decodeSec, opSec, stageSpeed)) =>
+        val r = res.perOp(op)
+        val counts = if ((r.sampled, r.tp, r.fn) == ((sampled, tp, fn))) None
+          else Some(s"$op (sampled, tp, fn) ${(r.sampled, r.tp, r.fn)}, reference ${(sampled, tp, fn)}")
+        counts.toSeq ++ near(s"$op decodeSec", r.decodeSec, decodeSec) ++
+          near(s"$op opSec", r.opSec, opSec) ++ near(s"$op stageSpeed", r.stageSpeed, stageSpeed)
+    }
   }
 }
