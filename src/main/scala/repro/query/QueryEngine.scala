@@ -39,31 +39,27 @@ import repro.video.OperatorModel.{Consumer, Operator}
   * cheap, but optimizing, physical planning and codegen of a fresh
   * `frames.select(...)` cost about as much driver time as the job on a
   * 400 s window, and retrospective queries run cascades over the same
-  * stored windows again and again. So [[plannedRows]] keeps, for at most
-  * [[PlanMemoCap]] windows (least recently used out first), the planned
-  * rows of a selection whose cache-substituted plan
-  * (`queryExecution.withCachedData`) is deterministic projections and
-  * filters over exactly one cached table. The key is that plan
-  * canonicalized (so equal windows built apart share an entry), plus, by
-  * identity, the table's cache and the `SparkContext`: an `unpersist()`
-  * then `cache()` of a table gives an equal canonicalized plan over new
-  * cached blocks, and must miss. Any other input (uncached frames,
-  * `repartition`, unions) is planned per call and runs every partition.
-  *
-  * A memoized window also keeps the partitions that held at least one of
-  * its rows, learned from the first job over it (each task's `c(0)`), and
-  * every later job runs only those. This is exact: the key pins the cached
-  * blocks and the `SparkContext`, and the plan over them is deterministic,
-  * so a partition that yielded no rows yields none again, and an empty
-  * partition adds only zeros to the summed counters. A cached table whose
-  * own plan is not deterministic (say, from `rand()`, under a storage level
-  * that recomputes lost blocks) could later put rows where none were, so a
-  * window over it learns nothing and runs every partition. A window's
-  * first job still runs every partition of the table. The set lives in the
-  * memo entry, so [[PlanMemoCap]] bounds it and a miss learns afresh.
-  * `SegmentStore.ingest` plans per call, so perfbench's `ingest_erode`
-  * re-plans each stream's uncached day clip on every op; this memo keeps
-  * only plans over a cached table, and no cached table is ingested twice.
+  * stored windows again and again. A window takes one of two paths in
+  * [[plannedRows]]:
+  *  - memoized, when its cache-substituted plan
+  *    (`queryExecution.withCachedData`) is projections and filters over
+  *    exactly one cached table, and that plan and every cached plan it
+  *    reads are deterministic. At most [[PlanMemoCap]] such windows are
+  *    kept, least recently used out first, keyed by the plan canonicalized
+  *    (equal windows built apart share an entry) and the table's cache by
+  *    identity (an `unpersist()` then `cache()` gives an equal plan over
+  *    new blocks, and must miss). Its first job runs every partition and
+  *    keeps those whose task counted a frame (`c(0)`); every later job runs
+  *    only those.
+  *  - planned per call, for any other input (uncached frames,
+  *    `repartition`, unions, a cached table whose own plan is not
+  *    deterministic): its one job runs every partition.
+  * Pruning is exact: the key pins the cached blocks, and with them the
+  * `SparkContext`, and a deterministic plan over them yields the same rows
+  * from the same partitions, even from blocks recomputed from lineage; an
+  * empty partition adds only zeros to the summed counters. A table cached
+  * from, say, `rand()` could put rows where none were, so it is never
+  * memoized.
   *
   * Speed metric: video duration / processing delay, in multiples of
   * realtime; retrieval and consumption are pipelined, so a stage's speed is
@@ -136,10 +132,8 @@ object QueryEngine {
     val repeated = names.diff(names.distinct).distinct
     require(repeated.isEmpty, s"runCascade: operator ${repeated.mkString(", ")} " +
       "appears in more than one stage, but per-op results are keyed by operator name")
-    val window = plannedRows(frames.select("frame", "isEvent"))
-    val parts = window.partitions
-    val perPartition = spark.sparkContext.runJob(window.rows, new CascadeCounters(video, stages), parts)
-    window.learn(parts, perPartition)
+    val perPartition = plannedRows(frames.select("frame", "isEvent"))
+      .run(spark.sparkContext, new CascadeCounters(video, stages))
     val counters = perPartition.foldLeft(new Array[Long](1 + 3 * stages.size)) { (sum, c) =>
       c.indices.foreach(j => sum(j) += c(j)); sum
     }
@@ -162,33 +156,37 @@ object QueryEngine {
   /** The most windows [[plannedRows]] keeps planned. */
   private[query] val PlanMemoCap = 32
 
-  /** A planned window's memo key: `plan` by value, `cache` and `sc` by
-    * identity.
+  /** A planned window's memo key: `plan` by value, `cache` by identity. The
+    * cache pins the `SparkContext` too: a new context has a new session
+    * state and so new caches, and `newSession()` shares both.
     */
-  private final class PlanKey(private val plan: LogicalPlan, private val cache: AnyRef,
-                              private val sc: SparkContext) {
+  private final class PlanKey(private val plan: LogicalPlan, private val cache: AnyRef) {
     override def equals(o: Any): Boolean = o match {
-      case k: PlanKey => (k.cache eq cache) && (k.sc eq sc) && k.plan == plan
+      case k: PlanKey => (k.cache eq cache) && k.plan == plan
       case _ => false
     }
-    override val hashCode: Int = (plan, System.identityHashCode(cache), System.identityHashCode(sc)).##
+    override val hashCode: Int = (plan, System.identityHashCode(cache)).##
   }
 
   /** A window's planned rows and, once its first job has run, the partitions
-    * that held at least one of its rows. Only a window that `learns` keeps
-    * them: a memoized one over a deterministic cached table, for which a
-    * partition that yielded no rows yields none again (see [[QueryEngine]]).
+    * that held at least one of its rows (see [[QueryEngine]]).
     */
-  private[query] final class PlannedWindow(val rows: RDD[InternalRow], learns: Boolean) {
+  private[query] final class PlannedWindow(val rows: RDD[InternalRow]) {
     @volatile private var live: Option[Seq[Int]] = None
 
     /** The partitions the next job over this window runs. */
     def partitions: Seq[Int] = live.getOrElse(rows.partitions.indices)
 
-    /** Keep the partitions of `ran` whose task counted a frame, `c(0)`. */
-    def learn(ran: Seq[Int], perPartition: Array[Array[Long]]): Unit =
-      if (learns && live.isEmpty)
-        live = Some(ran.zip(perPartition).collect { case (p, c) if c(0) > 0 => p })
+    /** `task`'s counters of each partition run, in one job; the first run
+      * keeps the partitions whose task counted a frame, `c(0)`. A window
+      * planned per call keeps them too, but is never run again.
+      */
+    def run(sc: SparkContext, task: CascadeCounters): Array[Array[Long]] = {
+      val ran = partitions
+      val perPartition = sc.runJob(rows, task, ran)
+      if (live.isEmpty) live = Some(ran.zip(perPartition).collect { case (p, c) if c(0) > 0 => p })
+      perPartition
+    }
   }
 
   /** Planned windows, in access order; guarded by its own lock. */
@@ -200,45 +198,41 @@ object QueryEngine {
 
   private[query] def planMemoSize: Int = planMemo.synchronized(planMemo.size)
 
-  /** `df`'s physical rows (`queryExecution.toRdd`) as a window, planned
-    * once per cached window (see [[QueryEngine]]).
+  /** `df`'s physical rows (`queryExecution.toRdd`) as a window, memoized or
+    * planned per call (see [[QueryEngine]]).
     */
   private[query] def plannedRows(df: DataFrame): PlannedWindow = {
     val qe = df.queryExecution
     val plan = qe.withCachedData
-    cachedTable(plan) match {
-      case None => new PlannedWindow(qe.toRdd, learns = false)
-      case Some(table) =>
-        val key = new PlanKey(plan.canonicalized, table.cacheBuilder, df.sparkSession.sparkContext)
-        val hit = planMemo.synchronized(planMemo.get(key))
-        if (hit != null) hit
-        else {
-          val window = new PlannedWindow(qe.toRdd, learns = deterministic(table.cacheBuilder.logicalPlan))
+    admittedCache(plan) match {
+      case None => new PlannedWindow(qe.toRdd)
+      case Some(cache) =>
+        val key = new PlanKey(plan.canonicalized, cache)
+        Option(planMemo.synchronized(planMemo.get(key))).getOrElse {
+          val window = new PlannedWindow(qe.toRdd)
           planMemo.synchronized(Option(planMemo.putIfAbsent(key, window)).getOrElse(window))
         }
     }
   }
 
-  /** The one cached table under a deterministic `Project`/`Filter` chain;
-    * None for any other plan.
+  /** The cache of the one table under a `Project`/`Filter` chain, if `plan`
+    * and every cached plan it reads are deterministic; None for any other
+    * plan.
     */
-  private def cachedTable(plan: LogicalPlan): Option[InMemoryRelation] = {
+  private def admittedCache(plan: LogicalPlan): Option[AnyRef] = {
     @tailrec def cachedScan(p: LogicalPlan): Option[InMemoryRelation] = p match {
       case r: InMemoryRelation => Some(r)
       case Project(_, child) => cachedScan(child)
       case Filter(_, child) => cachedScan(child)
       case _ => None
     }
-    cachedScan(plan).filter(_ => plan.deterministic)
+    // a cached table is a leaf of the plan over it, so `plan.deterministic`
+    // alone does not look inside it
+    def deterministic(p: LogicalPlan): Boolean =
+      p.deterministic &&
+        p.collect { case r: InMemoryRelation => r }.forall(r => deterministic(r.cacheBuilder.logicalPlan))
+    cachedScan(plan).filter(_ => deterministic(plan)).map(_.cacheBuilder)
   }
-
-  /** Whether `plan` and the plans of the cached tables it reads are
-    * deterministic. A cached table is a leaf of the plan over it, so
-    * `plan.deterministic` alone does not look inside it.
-    */
-  private def deterministic(plan: LogicalPlan): Boolean =
-    plan.deterministic &&
-      plan.collect { case r: InMemoryRelation => r }.forall(r => deterministic(r.cacheBuilder.logicalPlan))
 
   /** Build the stages of a cascade from a consumer->CF and CF->SF mapping. */
   def stagesFor(cascade: Seq[Operator], accuracy: Double,

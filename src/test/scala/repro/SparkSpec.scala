@@ -17,16 +17,10 @@ import org.scalatest.funsuite.AnyFunSuite
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
-  override def afterAll(): Unit = { super.afterAll() }
-
-  /** Spark jobs started and shuffle bytes written while `body` runs. */
-  def sparkActivity(body: => Unit): (Int, Long) = {
-    val (jobs, shuffleWriteBytes, _) = sparkTaskActivity(body)
-    (jobs, shuffleWriteBytes)
-  }
-
-  /** [[sparkActivity]] plus the number of tasks that finished. */
-  def sparkTaskActivity(body: => Unit): (Int, Long, Int) = {
+  /** Spark jobs started, shuffle bytes written and tasks finished while
+    * `body` runs.
+    */
+  def sparkActivity(body: => Unit): (Int, Long, Int) = {
     val sc = spark.sparkContext
     val jobs = new AtomicInteger
     val tasks = new AtomicInteger

@@ -219,7 +219,8 @@ class QueryEngineSpec extends SparkSpec {
     val stages = QueryEngine.stagesFor(OperatorModel.queryB, 0.8,
       c => cfg.cfOf(c), c => cfg.sfOf(c))
     frames.count() // materialise the cache outside the measured window
-    assert(sparkActivity(QueryEngine.runCascade(spark, frames, video, stages)) === ((1, 0L)))
+    val (jobs, shuffleBytes, _) = sparkActivity(QueryEngine.runCascade(spark, frames, video, stages))
+    assert((jobs, shuffleBytes) === ((1, 0L)))
   }
 
   // ----- planned-rows memo -------------------------------------------------
@@ -260,13 +261,16 @@ class QueryEngineSpec extends SparkSpec {
     // 88 s: no other test caches a jackson table of this length
     val uncached = SynthVideo.frames(spark, video, durationSec = 88)
     val window = firstSegs(frames, 10)
+    // a cached table whose own plan is not deterministic (see the test below)
+    val random = SynthVideo.frames(spark, video, durationSec = 120).filter(rand(7) < 0.5).cache()
     for ((input, what) <- Seq(uncached -> "uncached", window.repartition(7) -> "repartition(7)",
-                              window.union(window) -> "union")) {
+                              window.union(window) -> "union", firstSegs(random, 3) -> "rand(7) table")) {
       val before = QueryEngine.planMemoSize
       val (a, b) = (QueryEngine.plannedRows(selected(input)), QueryEngine.plannedRows(selected(input)))
       assert(a ne b, what)
       assert(QueryEngine.planMemoSize === before, what)
     }
+    random.unpersist()
   }
 
   test("an unpersist() then cache() of the same DataFrame misses") {
@@ -297,19 +301,19 @@ class QueryEngineSpec extends SparkSpec {
     frames.count() // materialise the cache outside the measured window
     val all = window.queryExecution.toRdd.getNumPartitions
     val live = window.select(spark_partition_id()).distinct().count().toInt
-    assert(sparkTaskActivity(QueryEngine.runCascade(spark, window, video, stages)) === ((1, 0L, all)))
+    assert(sparkActivity(QueryEngine.runCascade(spark, window, video, stages)) === ((1, 0L, all)))
     val planned = QueryEngine.plannedRows(selected(window))
     assert(QueryEngine.plannedRows(selected(window)) eq planned)
     assert(planned.partitions.size === live)
     for (rerun <- 1 to 2)
-      assert(sparkTaskActivity(QueryEngine.runCascade(spark, window, video, stages)) === ((1, 0L, live)),
+      assert(sparkActivity(QueryEngine.runCascade(spark, window, video, stages)) === ((1, 0L, live)),
         s"re-run $rerun")
   }
 
   test("a window over a nondeterministic cached table runs every partition on every call") {
     // `rand` decides which frames the table holds; were its blocks
     // recomputed, rows could land in a partition that held none of the
-    // window's rows before, so the window must not learn a partition set
+    // window's rows before, so the window is not memoized
     val table = SynthVideo.frames(spark, video, durationSec = 120).filter(rand(7) < 0.5).cache()
     def window = table.filter(col("segId") < 3)
     table.count()
@@ -317,7 +321,7 @@ class QueryEngineSpec extends SparkSpec {
     val stages = Seq(stage(OperatorModel.Motion, 0.9))
     val results = scala.collection.mutable.ArrayBuffer.empty[QueryEngine.CascadeResult]
     for (call <- 1 to 3)
-      assert(sparkTaskActivity(results += QueryEngine.runCascade(spark, window, video, stages)) ===
+      assert(sparkActivity(results += QueryEngine.runCascade(spark, window, video, stages)) ===
         ((1, 0L, all)), s"call $call")
     assert(results.distinct.size === 1)
     assert(QueryEngine.plannedRows(selected(window)).partitions.size === all)

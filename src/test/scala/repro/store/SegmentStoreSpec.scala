@@ -185,7 +185,8 @@ class SegmentStoreSpec extends SparkSpec {
     implicit val s = spark
     frames.count() // materialise the cache outside the measured window
     stored.count()
-    assert(sparkActivity(SegmentStore.ingest(spark, frames, sfs, video)) === ((1, 0L)))
+    val (jobs, shuffleBytes, _) = sparkActivity(SegmentStore.ingest(spark, frames, sfs, video))
+    assert((jobs, shuffleBytes) === ((1, 0L)))
     // not `stored`'s rows: a plan equal to a cached one reads the cache
     val local = SegmentStore.ingest(spark, SynthVideo.frames(spark, VideoProfile.dashcam, 40),
       sfs, VideoProfile.dashcam)
