@@ -71,14 +71,31 @@ object StorageConfig {
     * suffices (R2 case b). Candidates come in `Profiler.codingsBySize`
     * order, which profiles `f`'s encoded formats once per profiler, so the
     * pick minimizes storage under the constraints. Returns None when even
-    * RAW is not adequate.
+    * RAW is not adequate. R2 is checked once per sampling rate, against the
+    * fastest demand at that rate (`fastestPerRate`).
     */
   def cheapestAdequateCoding(profiler: Profiler, f: Fidelity, demands: Seq[Demand],
-                             admit: StorageFormat => Boolean = _ => true): Option[Coding] =
+                             admit: StorageFormat => Boolean = _ => true): Option[Coding] = {
+    val fastest = fastestPerRate(demands)
     (profiler.codingsBySize(f) :+ Raw).find { c =>
       val sf = StorageFormat(f, c)
-      demands.forall(retrievalOk(sf, _)) && admit(sf)
+      fastest.forall(retrievalOk(sf, _)) && admit(sf)
     }
+  }
+
+  /** The fastest of `demands` at each sampling rate, in rate order. R2
+    * reads only a demand's sampling rate and speed, so a format meets all of
+    * `demands` exactly when it meets these. A NaN speed, which no retrieval
+    * meets, wins its rate.
+    */
+  private def fastestPerRate(demands: Seq[Demand]): Array[Demand] = {
+    val fastest = new Array[Demand](FrameSampling.all.size)
+    demands.foreach { d =>
+      val r = d.cf.fidelity.sampling.rank
+      if (fastest(r) == null || d.maxConsumerSpeed.compare(fastest(r).maxConsumerSpeed) > 0) fastest(r) = d
+    }
+    fastest.filter(_ != null)
+  }
 
   /** R2: retrieval at the demand's sampling rate must exceed its fastest
     * consumer's consumption speed.

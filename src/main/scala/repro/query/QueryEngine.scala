@@ -255,7 +255,7 @@ private[query] final class CascadeCounters(video: VideoProfile, stages: Seq[Quer
   private val everyN = stages.map(st =>
     math.max(1, math.round(SynthVideo.Fps / st.cf.sampling.fps).toInt)).toArray
   private val detectProb = stages.map(st => st.op.detectProb(st.cf, video)).toArray
-  private val salt = stages.map(st => s"detect-${st.op.name}").toArray
+  private val draw = stages.map(st => new SynthVideo.U01Draw(video.name, s"detect-${st.op.name}")).toArray
 
   def apply(task: TaskContext, rows: Iterator[InternalRow]): Array[Long] = {
     val n = everyN.length
@@ -268,7 +268,7 @@ private[query] final class CascadeCounters(video: VideoProfile, stages: Seq[Quer
         if (pos % everyN(i) == 0) {
           c(1 + 3 * i) += 1
           if (r.getBoolean(1)) {
-            val hit = SynthVideo.u01Scala(video.name, r.getLong(0), salt(i)) < detectProb(i)
+            val hit = draw(i)(r.getLong(0)) < detectProb(i)
             c((if (hit) 2 else 3) + 3 * i) += 1
           }
         }

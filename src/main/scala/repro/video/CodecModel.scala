@@ -41,27 +41,27 @@ object CodecModel {
 
   // --- encoded size -------------------------------------------------------
 
-  private val qualitySizeFactor: Map[ImageQuality, Double] = Map(
-    ImageQuality.Best -> 0.0330, // CRF 0: near-lossless, large
-    ImageQuality.Good -> 0.0066, // CRF 23 (5x below best, Fig. 4b)
-    ImageQuality.Bad  -> 0.0033,
-    ImageQuality.Worst -> 0.0016,
+  // The per-knob tables below are indexed by the knob's rank, poorest
+  // (or shortest, or slowest) value first.
+
+  /** Size factor by `ImageQuality.rank`. */
+  private val qualitySizeFactor: Array[Double] = Array(
+    0.0016, // worst
+    0.0033, // bad
+    0.0066, // good: CRF 23 (5x below best, Fig. 4b)
+    0.0330, // best: CRF 0, near-lossless, large
   )
 
-  private def kfSizeFactor(k: KeyframeInterval): Double = k.frames match {
-    case 250 => 1.00
-    case 100 => 1.05
-    case 50  => 1.15
-    case 10  => 1.55
-    case 5   => 2.00
-  }
+  /** Size factor by `KeyframeInterval.rank` (5, 10, 50, 100, 250 frames). */
+  private val kfSizeFactor: Array[Double] = Array(2.00, 1.55, 1.15, 1.05, 1.00)
 
-  private val stepSizeFactor: Map[SpeedStep, Double] = Map(
-    SpeedStep.Slowest -> 1.00,
-    SpeedStep.Slow    -> 1.15,
-    SpeedStep.Med     -> 1.40,
-    SpeedStep.Fast    -> 1.80,
-    SpeedStep.Fastest -> 2.50, // Fig. 3a: up to 2.5x size
+  /** Size factor by `SpeedStep.rank`. */
+  private val stepSizeFactor: Array[Double] = Array(
+    1.00, // slowest
+    1.15, // slow
+    1.40, // med
+    1.80, // fast
+    2.50, // fastest: Fig. 3a, up to 2.5x size
   )
 
   /** Stored bytes per second of video for one storage format of one video.
@@ -76,24 +76,19 @@ object CodecModel {
       case Raw => f.pixelsPerFrame * RawStoredBytesPerPixel * f.sampling.fps
       case Encoded(step, kf) =>
         val temporalPenalty = math.pow(FrameSampling.IngestFps / f.sampling.fps, 0.25)
-        f.rawBytesPerSec * qualitySizeFactor(f.quality) * kfSizeFactor(kf) *
-          stepSizeFactor(step) * video.motionFactor * temporalPenalty
+        f.rawBytesPerSec * qualitySizeFactor(f.quality.rank) * kfSizeFactor(kf.rank) *
+          stepSizeFactor(step.rank) * video.motionFactor * temporalPenalty
     }
   }
 
   // --- encoding (ingestion) ----------------------------------------------
 
-  /** Per-core encode speed at full 720p30 pixel rate, x realtime.
-    * Spans 40x across speed steps (Fig. 3a); calibrated so the four SFs the
-    * configurator derives need ~8.5 cores/stream unconstrained (Table 3).
+  /** Per-core encode speed at full 720p30 pixel rate, x realtime, by
+    * `SpeedStep.rank` (slowest..fastest). Spans 40x across speed steps
+    * (Fig. 3a); calibrated so the four SFs the configurator derives need
+    * ~8.5 cores/stream unconstrained (Table 3).
     */
-  private val stepEncodeSpeedAtFull: Map[SpeedStep, Double] = Map(
-    SpeedStep.Slowest -> 0.125,
-    SpeedStep.Slow    -> 0.55,
-    SpeedStep.Med     -> 1.70,
-    SpeedStep.Fast    -> 3.40,
-    SpeedStep.Fastest -> 5.20,
-  )
+  private val stepEncodeSpeedAtFull: Array[Double] = Array(0.125, 0.55, 1.70, 3.40, 5.20)
 
   /** Encode speed of one format on one core, x realtime. RAW bypasses the
     * encoder; only a cheap resize/sample pass remains (modelled as memcpy at
@@ -105,7 +100,7 @@ object CodecModel {
     sf.coding match {
       case Raw => 40.0 / math.max(rateRatio, 1e-9) / video.motionFactor.max(1.0)
       case Encoded(step, _) =>
-        stepEncodeSpeedAtFull(step) / math.max(rateRatio, 1e-9) /
+        stepEncodeSpeedAtFull(step.rank) / math.max(rateRatio, 1e-9) /
           math.pow(video.motionFactor, 0.5)
     }
   }
@@ -120,16 +115,10 @@ object CodecModel {
 
   // --- decoding (retrieval) ----------------------------------------------
 
-  /** Decoder pixel throughput by speed step (px/s); faster-encoded streams
-    * are also cheaper to decode.
+  /** Decoder pixel throughput (px/s) by `SpeedStep.rank`
+    * (slowest..fastest); faster-encoded streams are also cheaper to decode.
     */
-  private val stepDecodePxPerSec: Map[SpeedStep, Double] = Map(
-    SpeedStep.Slowest -> 6.5e8,
-    SpeedStep.Slow    -> 7.0e8,
-    SpeedStep.Med     -> 7.8e8,
-    SpeedStep.Fast    -> 8.8e8,
-    SpeedStep.Fastest -> 1.0e9,
-  )
+  private val stepDecodePxPerSec: Array[Double] = Array(6.5e8, 7.0e8, 7.8e8, 8.8e8, 1.0e9)
 
   /** Fixed per-frame decode overhead, seconds. */
   private val decodeFrameOverheadSec = 1.0e-4
@@ -161,7 +150,7 @@ object CodecModel {
         DiskBytesPerSec / bytesPerVideoSec
       case Encoded(step, kf) =>
         val frames = framesDecodedPerVideoSec(f.sampling.fps, fpsWanted, kf)
-        val perFrameSec = decodeFrameOverheadSec + f.pixelsPerFrame / stepDecodePxPerSec(step)
+        val perFrameSec = decodeFrameOverheadSec + f.pixelsPerFrame / stepDecodePxPerSec(step.rank)
         1.0 / (frames * perFrameSec)
     }
   }

@@ -1,10 +1,14 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.video.Knobs._
 import repro.video.Formats._
 import repro.video.{CodecModel, VideoProfile}
 import repro.video.OperatorModel
+import repro.video.OperatorModel.Operator
 
 class ProfilerSpec extends AnyFunSuite {
 
@@ -78,6 +82,66 @@ class ProfilerSpec extends AnyFunSuite {
     val (runs, examined) = (p.sfRuns, p.sfExamined)
     p.codingsBySize(f)
     assert(p.sfRuns === runs && p.sfExamined === examined)
+  }
+
+  test("the memos count each key's first request as a run, and return the model's values") {
+    sealed trait Request
+    final case class Op(op: Operator, f: Fidelity) extends Request
+    final case class Sf(sf: StorageFormat) extends Request
+    final case class Order(f: Fidelity) extends Request
+    val video = VideoProfile.jackson
+    val encoded = Coding.space.filterNot(_.isRaw)
+    // a few fidelities per sequence, so requests repeat and hit the memos
+    val genRequests = for {
+      fs <- Gen.pick(4, Fidelity.space)
+      n <- Gen.choose(0, 60)
+      rs <- Gen.listOfN(n, Gen.oneOf(
+        for (op <- Gen.oneOf(OperatorModel.all); f <- Gen.oneOf(fs.toSeq)) yield Op(op, f),
+        for (f <- Gen.oneOf(fs.toSeq); c <- Gen.oneOf(Coding.space)) yield Sf(StorageFormat(f, c)),
+        Gen.oneOf(fs.toSeq).map(Order(_))))
+    } yield rs
+    def modelSf(sf: StorageFormat) =
+      Profiler.SfProfile(CodecModel.storedBytesPerSec(sf, video), CodecModel.ingestCores(sf, video))
+    val prop = Prop.forAll(genRequests) { requests =>
+      val p = fresh()
+      val answers = requests.map {
+        case Op(op, f) => p.profileOp(op, f)
+        case Sf(sf)    => p.profileSf(sf)
+        case Order(f)  => p.codingsBySize(f)
+      }
+      // the reference: the model's values, and the accounting of first requests
+      val opKeys = requests.collect { case Op(op, f) => (op.name, f) }.distinct
+      val orderFs = requests.collect { case Order(f) => f }.distinct
+      val sfKeys = (requests.collect { case Sf(sf) => sf } ++
+        orderFs.flatMap(f => encoded.map(StorageFormat(f, _)))).distinct
+      // the first sort of each fidelity's codings examines both sides of every comparison
+      val sortExamined = orderFs.map { f =>
+        var keys = 0
+        encoded.sortBy { c => keys += 1; modelSf(StorageFormat(f, c)).bytesPerSec }
+        keys
+      }.sum
+      val goldenDecode = (f: Fidelity) => CodecModel.retrievalSpeed(
+        StorageFormat(Fidelity.full, Coding.slowestSmallest), f.sampling.fps)
+      val delay = requests.collect { case Op(op, f) => (op, f) }.distinctBy { case (op, f) => (op.name, f) }
+        .foldLeft(0.0) { case (sum, (op, f)) =>
+          sum + (Profiler.SampleClipSec / goldenDecode(f) + Profiler.SampleClipSec * op.consumptionCost(f))
+        }
+      val wants = requests.map {
+        case Op(op, f) => Profiler.OpProfile(op.accuracy(f, video), op.consumptionCost(f))
+        case Sf(sf)    => modelSf(sf)
+        case Order(f)  => encoded.sortBy(c => modelSf(StorageFormat(f, c)).bytesPerSec)
+      }
+      val at = requests.mkString(" ")
+      (p.opRuns == opKeys.size) :| s"opRuns ${p.opRuns} != ${opKeys.size}: $at" &&
+        (p.sfRuns == sfKeys.size) :| s"sfRuns ${p.sfRuns} != ${sfKeys.size}: $at" &&
+        (p.sfExamined == requests.count(_.isInstanceOf[Sf]) + sortExamined) :|
+          s"sfExamined ${p.sfExamined}: $at" &&
+        (p.opDelaySec == delay) :| s"opDelaySec ${p.opDelaySec} != $delay: $at" &&
+        (answers == wants) :| s"answers: $at"
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(200)
+      .withInitialSeed(Seed(16L)), prop)
+    assert(result.passed, result)
   }
 
   test("sf profile reports model size and ingest cores") {

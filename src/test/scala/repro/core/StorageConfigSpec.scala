@@ -1,5 +1,8 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.video.Knobs._
 import repro.video.Formats._
@@ -108,6 +111,44 @@ class StorageConfigSpec extends AnyFunSuite {
     val f = Fidelity.full // raw 720p30 retrieval ~72x
     val demand = StorageConfig.Demand(ConsumptionFormat(f), maxConsumerSpeed = 1e7)
     assert(StorageConfig.cheapestAdequateCoding(p, f, Seq(demand)).isEmpty)
+  }
+
+  test("cheapestAdequateCoding picks what checking R2 per demand picks, and admits the same formats") {
+    import StorageConfig.{Demand, cheapestAdequateCoding, retrievalOk}
+    val p = profiler()
+    // demands at a few rates, whose speeds sit on, just above or just below
+    // a retrieval speed of one of f's formats, so several demands share a
+    // rate and some tie
+    def genDemand(f: Fidelity, rates: Seq[FrameSampling]): Gen[Demand] = for {
+      s <- Gen.oneOf(rates)
+      cf <- Gen.oneOf(Fidelity.space).map(_.copy(sampling = s))
+      c <- Gen.oneOf(Coding.space)
+      scale <- Gen.oneOf(1.0, 1.0, 0.999, 1.001)
+    } yield Demand(ConsumptionFormat(cf), CodecModel.retrievalSpeed(StorageFormat(f, c), s.fps) * scale)
+    val gen = for {
+      f <- Gen.oneOf(Fidelity.space)
+      rates <- Gen.pick(2, FrameSampling.all)
+      n <- Gen.choose(0, 10)
+      ds <- Gen.listOfN(n, genDemand(f, rates.toSeq))
+      admitted <- Gen.frequency(1 -> Gen.const(Coding.space), 3 -> Gen.someOf(Coding.space))
+    } yield (f, ds, admitted.toSet)
+    val prop = Prop.forAll(gen) { case (f, ds, admitted) =>
+      // each side logs the formats it asks `admit` about
+      def run(pick: (StorageFormat => Boolean) => Option[Coding]) = {
+        val asked = Vector.newBuilder[StorageFormat]
+        val c = pick { sf => asked += sf; admitted(sf.coding) }
+        (c, asked.result())
+      }
+      val got = run(cheapestAdequateCoding(p, f, ds, _))
+      val want = run { admit =>
+        (p.codingsBySize(f) :+ Raw).find(c =>
+          ds.forall(retrievalOk(StorageFormat(f, c), _)) && admit(StorageFormat(f, c)))
+      }
+      (got == want) :| s"$f, demands ${ds.mkString(" ")}: got $got, want $want"
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(400)
+      .withInitialSeed(Seed(16L)), prop)
+    assert(result.passed, result)
   }
 
   test("coalescePair takes the knob-wise max fidelity and unions CFs") {

@@ -89,6 +89,16 @@ class SynthVideoSpec extends SparkSpec {
     assert(a !== b)
   }
 
+  test("U01Draw equals u01Scala bit for bit on every video and detection salt") {
+    val salts = OperatorModel.all.map(op => s"detect-${op.name}")
+    val frames = (0L until 200000L) ++ Seq(9876543210123L, Long.MaxValue, -1L, Long.MinValue)
+    for (v <- VideoProfile.all; salt <- salts) {
+      val draw = new SynthVideo.U01Draw(v.name, salt)
+      val bad = frames.find(fr => draw(fr) != SynthVideo.u01Scala(v.name, fr, salt))
+      assert(bad.isEmpty, s"${v.name}/$salt: frame $bad")
+    }
+  }
+
   test("frame count column matches DuckDB oracle over the same table") {
     val perSeg = df.groupBy("segId").agg(count(lit(1)) as "n")
     repro.Oracle.assertEquivalent(
