@@ -1,12 +1,8 @@
 package repro.bench
 
-import repro.SparkSpec
-import repro.report.Reports
+import org.scalatest.funsuite.AnyFunSuite
+import repro.report.{ExecutedReport, Reports}
 import repro.core.VStoreConfigurator
-import repro.video.{SynthVideo, VideoProfile}
-import repro.video.OperatorModel
-import repro.query.QueryEngine
-import repro.store.SegmentStore
 
 /** Figure 11 — end-to-end query speed / storage / ingestion, VStore vs the
   * 1->1, 1->N, N->N alternatives, plus a Spark-executed run of both query
@@ -16,14 +12,10 @@ import repro.store.SegmentStore
   * by up to 150x, beats 1->N by 3-16x, halves-to-fifths N->N's storage, and
   * needs ~10 cores/stream to ingest (dashcam much more).
   */
-class Fig11EndToEndBench extends SparkSpec {
+class Fig11EndToEndBench extends AnyFunSuite {
 
   private lazy val cfg = VStoreConfigurator.derive()
   private lazy val (speeds, costs) = Reports.fig11(cfg)
-
-  test("print Figure 11 numbers (paper vs measured in EXPERIMENTS.md)") {
-    Reports.fig11Lines(cfg).foreach(info(_))
-  }
 
   test("VStore reaches hundreds of x realtime (paper: up to 362x)") {
     val best = speeds.filter(_.config == "VStore").map(_.speed).max
@@ -86,28 +78,21 @@ class Fig11EndToEndBench extends SparkSpec {
 
   test("Spark execution: ingest then run both cascades at two accuracies") {
     // The streamed path: synth frames -> per-partition transcode into the
-    // derived SFs -> cascade with simulated decode + per-frame operators.
-    for ((video, cascade, qName) <- Seq(
-      (VideoProfile.jackson, OperatorModel.queryA, "A"),
-      (VideoProfile.dashcam, OperatorModel.queryB, "B"))) {
-      val frames = SynthVideo.frames(spark, video, durationSec = 400).cache()
-      val stored = SegmentStore.ingest(spark, frames, cfg.sfs, video)
-      assert(stored.count() === (400 / 8).toLong * cfg.sfs.size)
-      for (acc <- Seq(0.9, 0.7)) {
-        val stages = QueryEngine.stagesFor(cascade, acc, c => cfg.cfOf(c), c => cfg.sfOf(c))
-        val res = QueryEngine.runCascade(spark, frames, video, stages)
-        info(f"Q$qName ${video.name} F1=$acc%.2f executed: ${res.querySpeed}%.0fx realtime " +
-          res.perOp.map { case (op, r) => f"$op=${r.f1}%.2f" }.mkString(" "))
+    // derived SFs -> cascade with simulated decode + per-frame operators,
+    // as run once by the executed report.
+    for (s <- ExecutedReport.atDefaults) {
+      assert(s.catalogRows === (400 / 8).toLong * cfg.sfs.size)
+      for (acc <- Seq(0.9, 0.7); r = s.runs.find(_.accuracy == acc).get) {
+        val res = r.result
         // every stage's empirical F1 must be near its target
-        stages.foreach { st =>
+        r.stages.foreach { st =>
           val f1 = res.perOp(st.op.name).f1
           assert(f1 >= acc - 0.12, s"${st.op.name}: F1=$f1 target=$acc")
         }
-        val ana = QueryEngine.analyticQuerySpeed(stages)
+        val ana = r.analyticSpeed
         assert(res.querySpeed / ana > 0.4 && res.querySpeed / ana < 2.5,
           s"executed=${res.querySpeed} analytic=$ana")
       }
-      frames.unpersist()
     }
   }
 }

@@ -3,7 +3,6 @@ package repro.bench
 import org.scalatest.funsuite.AnyFunSuite
 import repro.report.Reports
 import repro.core.{Erosion, VStoreConfigurator}
-import repro.video.VideoProfile
 
 /** Figure 12 — age-based data erosion under storage budgets.
   *
@@ -15,14 +14,7 @@ import repro.video.VideoProfile
 class Fig12ErosionBench extends AnyFunSuite {
 
   private lazy val cfg = VStoreConfigurator.derive()
-  private lazy val intact =
-    VStoreConfigurator.bytesPerDay(cfg, VideoProfile.jackson).values.sum * Reports.fig12LifespanDays
   private lazy val results = Reports.fig12(cfg)
-
-  test("print Figure 12 numbers (paper vs measured in EXPERIMENTS.md)") {
-    info(f"intact 10-day footprint: ${intact / 1e12}%.2f TB (paper: 5 TB)")
-    Reports.fig12Lines(results).foreach(info(_))
-  }
 
   test("a budget above the intact footprint needs no decay (k=0)") {
     assert(results.head.k === 0.0)

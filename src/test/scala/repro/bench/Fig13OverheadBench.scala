@@ -19,10 +19,6 @@ class Fig13OverheadBench extends AnyFunSuite {
 
   private lazy val rows = Reports.fig13()
 
-  test("print Figure 13 numbers (paper vs measured in EXPERIMENTS.md)") {
-    Reports.fig13Lines(rows).foreach(info(_))
-  }
-
   test("boundary search cuts profiling runs by >=3x per operator (paper 9-15x)") {
     rows.foreach { r =>
       assert(r.exhaustiveRuns.toDouble / r.boundaryRuns > 3, s"${r.op}")

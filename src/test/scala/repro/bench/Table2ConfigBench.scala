@@ -16,10 +16,6 @@ class Table2ConfigBench extends AnyFunSuite {
 
   private lazy val cfg = VStoreConfigurator.derive()
 
-  test("print Table 2 (paper vs measured in EXPERIMENTS.md)") {
-    Reports.table2Lines(cfg).foreach(info(_))
-  }
-
   test("24 consumers collapse to ~21 unique consumption formats") {
     val n = cfg.uniqueCfs.size
     info(s"unique CFs: $n (paper: 21)")

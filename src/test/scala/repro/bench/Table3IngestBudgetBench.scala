@@ -15,10 +15,6 @@ class Table3IngestBudgetBench extends AnyFunSuite {
 
   private lazy val rows = Reports.table3()
 
-  test("print Table 3 (paper vs measured in EXPERIMENTS.md)") {
-    Reports.table3Lines(rows).foreach(info(_))
-  }
-
   test("every reachable budget is respected (>= 1 core)") {
     rows.foreach { r =>
       r.budgetCores.filter(_ >= 1).foreach { b =>

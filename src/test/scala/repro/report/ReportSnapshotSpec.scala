@@ -5,21 +5,19 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.core.VStoreConfigurator
 
 /** The reproduced Table 2, Table 3 and Fig 11–13 report lines, at the
-  * jobs' inputs, pinned byte for byte to `snapshots/` under the test
-  * resources. A change that moves a reported number fails here and must
-  * regenerate the snapshot on purpose.
+  * jobs' inputs, and the executed path's lines (`ExecutedReport`), pinned
+  * byte for byte to `snapshots/` under the test resources. A change that
+  * moves a reported number fails here and must regenerate the snapshot on
+  * purpose.
   */
 class ReportSnapshotSpec extends AnyFunSuite {
 
   private lazy val cfg = VStoreConfigurator.derive()
 
-  private def snapshot(name: String): Vector[String] = {
-    val src = Source.fromResource(s"snapshots/$name.txt")(Codec.UTF8)
-    try src.getLines().toVector finally src.close()
-  }
-
+  /** Asserts that `lines` equal `snapshots/<name>.txt` line for line. */
   private def assertLines(name: String, lines: Seq[String]): Unit = {
-    val expected = snapshot(name)
+    val src = Source.fromResource(s"snapshots/$name.txt")(Codec.UTF8)
+    val expected = try src.getLines().toVector finally src.close()
     val diff = expected.zipAll(lines, "<missing>", "<missing>").zipWithIndex
       .collect { case ((e, g), i) if e != g => s"line ${i + 1}:\n  want $e\n  got  $g" }
     assert(diff.isEmpty, diff.take(5).mkString(s"$name differs from its snapshot\n", "\n", ""))
@@ -44,5 +42,9 @@ class ReportSnapshotSpec extends AnyFunSuite {
 
   test("Fig 13 lines match the snapshot") {
     assertLines("fig13", Reports.fig13Lines(Reports.fig13()))
+  }
+
+  test("executed ingest and cascade lines match the snapshot") {
+    assertLines("executed", ExecutedReport.lines(ExecutedReport.atDefaults))
   }
 }
