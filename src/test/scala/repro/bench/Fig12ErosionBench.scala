@@ -64,14 +64,15 @@ class Fig12ErosionBench extends AnyFunSuite {
 
   test("low-impact formats erode before the heavy raw format") {
     // under the 0.8 budget, the encoded sparse format (smallest speed
-    // impact per byte) goes first
+    // impact per byte) goes first, and the largest RAW format only later
     val r = results(1)
+    val heavyRaw = Reports.table2(cfg)._2.filter(_.sf.coding.isRaw).maxBy(_.kbPerSec).label
     val firstErodedAge = r.retention.indexWhere(_.values.exists(_ < 1.0))
-    if (firstErodedAge >= 0) {
-      val eroded = r.retention(firstErodedAge).filter(_._2 < 1.0).keys.toSet
-      info(s"first eroded at age ${firstErodedAge + 1}: $eroded")
-      assert(!eroded.contains("SFg"))
-    }
+    assert(firstErodedAge >= 0, "nothing erodes under the 0.8 budget")
+    val eroded = r.retention(firstErodedAge).filter(_._2 < 1.0).keys.toSet
+    info(s"first eroded at age ${firstErodedAge + 1}: $eroded")
+    assert(!eroded.contains("SFg"))
+    assert(!eroded.contains(heavyRaw), s"$heavyRaw, the largest RAW format, erodes first")
   }
 
   test("pmin is the floor: everything but golden deleted still serves queries") {
