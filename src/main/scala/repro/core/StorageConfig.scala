@@ -257,10 +257,14 @@ object StorageConfig {
     * initial nodes, golden node included, coalesce each block into one
     * format, and return the partition with minimum total storage among those
     * meeting all demands. Folding a block pairwise gives its knob-wise max
-    * fidelity and the cheapest coding adequate for the union of its demands;
-    * a pair no coding serves makes the whole block infeasible, since
-    * retrieval never speeds up as fidelity grows. Exponential (Bell number)
-    * — callers must keep the CF set small.
+    * fidelity and the cheapest coding adequate for the union of its demands.
+    * A pair no coding serves makes the whole block infeasible: then RAW at
+    * the pair's fidelity misses one of its demands, and growing the block
+    * only adds demands and makes the fidelity richer, where no coding
+    * retrieves faster than RAW at the poorer fidelity, at any rate up to
+    * that fidelity's own. (A fixed coding can retrieve faster at a richer
+    * fidelity, through chunk skipping, so the argument needs RAW.)
+    * Exponential (Bell number) — callers must keep the CF set small.
     */
   def deriveExhaustive(profiler: Profiler, consumers: Seq[(Consumer, ConsumptionFormat, Double)])
   : Result = {

@@ -200,6 +200,45 @@ class StorageConfigSpec extends AnyFunSuite {
         s"greedy=${greedy.sfs}\nexhaustive=${exhaustive.sfs}")
   }
 
+  /** Every ordered pair of fidelities (f, g) with g strictly richer. */
+  private lazy val richerPairs: Vector[(Fidelity, Fidelity)] =
+    for (f <- Fidelity.space; g <- Fidelity.space if g.richerThan(f)) yield (f, g)
+
+  test("RAW at a poorer fidelity retrieves at least as fast as any coding at a richer one") {
+    // why deriveExhaustive may drop a block once a pair in it is infeasible
+    assert(richerPairs.size === 48900)
+    val slower = for {
+      (f, g) <- richerPairs
+      rate <- FrameSampling.all if rate.rank <= f.sampling.rank
+      raw = CodecModel.retrievalSpeed(StorageFormat(f, Raw), rate.fps)
+      c <- Coding.space if CodecModel.retrievalSpeed(StorageFormat(g, c), rate.fps) > raw
+    } yield s"RAW $f < $c $g at $rate"
+    assert(slower.isEmpty, s"${slower.size} cases, e.g. ${slower.take(3).mkString("; ")}")
+  }
+
+  test("stored size never falls as fidelity grows at a fixed coding") {
+    val smaller = for {
+      (f, g) <- richerPairs
+      c <- Coding.space
+      v <- VideoProfile.all
+      if CodecModel.storedBytesPerSec(StorageFormat(g, c), v) < CodecModel.storedBytesPerSec(StorageFormat(f, c), v)
+    } yield s"$c $v: $g < $f"
+    assert(smaller.isEmpty, s"${smaller.size} cases, e.g. ${smaller.take(3).mkString("; ")}")
+  }
+
+  test("a fixed coding can retrieve faster at a richer fidelity, through chunk skipping") {
+    // 6 stored fps with keyframes every 10 frames decodes all 6 frames per
+    // second for a 1 fps consumer; at 15 stored fps it skips chunks and
+    // decodes (10 + 1) / 2 per sample
+    val poor = Fidelity(ImageQuality.Worst, CropFactor.C50, Resolution.ten.head, FrameSampling.S1_5)
+    val rich = poor.copy(sampling = FrameSampling.S1_2)
+    val coding = Encoded(SpeedStep.Slowest, KeyframeInterval(10))
+    assert(s"$poor -> $rich, $coding" === "worst-60p-1/5-50% -> worst-60p-1/2-50%, 10-slowest")
+    assert(rich.richerThan(poor))
+    val speeds = Seq(poor, rich).map(f => CodecModel.retrievalSpeed(StorageFormat(f, coding), 1.0))
+    assert(speeds.map(s => f"$s%.1f") === Seq("1588.9", "1733.4"))
+  }
+
   test("greedy profiles a small fraction of the 15K format space (§6.4)") {
     val p = profiler()
     val triples = VStoreConfigurator.storageInputs(fullCfg.derived)
