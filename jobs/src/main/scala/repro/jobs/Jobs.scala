@@ -6,8 +6,9 @@ import repro.core.VStoreConfigurator
 /** spark-submit entrypoints, one per reproduced table/figure. No job here
   * starts a Spark job: derivation profiles analytically and the reports
   * read the models. The Spark-executed paths (ingest, cascades, empirical
-  * F1) are exercised by the test and bench suites (SegmentStoreSpec,
-  * QueryEngineSpec, Fig11EndToEndBench).
+  * F1) are exercised by the tests: SegmentStoreSpec, QueryEngineSpec, and
+  * the test-scope ExecutedReport, whose lines ReportSnapshotSpec pins and
+  * whose results Fig11EndToEndBench checks.
   */
 object Table2Job {
   def main(args: Array[String]): Unit = {

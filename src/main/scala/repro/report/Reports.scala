@@ -10,8 +10,8 @@ import repro.core.VStoreConfigurator.Configuration
 import repro.baselines.Alternatives
 
 /** Shared computation + formatting for every reproduced table/figure, used
-  * by both the spark-submit jobs (jobs/) and the benchmark suites (bench/)
-  * so they report identical numbers.
+  * by both the spark-submit jobs (jobs/) and the reproduction suites
+  * (src/test/scala/repro/bench/), so they report identical numbers.
   */
 object Reports {
 

@@ -213,7 +213,7 @@ class StorageConfigSpec extends AnyFunSuite {
       raw = CodecModel.retrievalSpeed(StorageFormat(f, Raw), rate.fps)
       c <- Coding.space if CodecModel.retrievalSpeed(StorageFormat(g, c), rate.fps) > raw
     } yield s"RAW $f < $c $g at $rate"
-    assert(slower.isEmpty, s"${slower.size} cases, e.g. ${slower.take(3).mkString("; ")}")
+    assert(slower.size === 0, s"e.g. ${slower.take(3).mkString("; ")}")
   }
 
   test("stored size never falls as fidelity grows at a fixed coding") {
@@ -223,7 +223,7 @@ class StorageConfigSpec extends AnyFunSuite {
       v <- VideoProfile.all
       if CodecModel.storedBytesPerSec(StorageFormat(g, c), v) < CodecModel.storedBytesPerSec(StorageFormat(f, c), v)
     } yield s"$c $v: $g < $f"
-    assert(smaller.isEmpty, s"${smaller.size} cases, e.g. ${smaller.take(3).mkString("; ")}")
+    assert(smaller.size === 0, s"e.g. ${smaller.take(3).mkString("; ")}")
   }
 
   test("a fixed coding can retrieve faster at a richer fidelity, through chunk skipping") {
