@@ -112,7 +112,7 @@ object SegmentStore {
     * video, and the round(n * fraction) smallest go. Returns the surviving
     * catalog, itself driver-local.
     *
-    * `spark` is unused: ROADMAP item 2 (a driver-side catalog) drops it
+    * `spark` is unused: ROADMAP item 5 (a driver-side catalog type) drops it
     * when it edits perfbench's call site.
     */
   def erode(stored: Dataset[StoredSegment], sfId: Int, deleteFraction: Double)

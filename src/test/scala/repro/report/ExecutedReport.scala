@@ -1,18 +1,15 @@
 package repro.report
 
-import org.apache.spark.sql.SparkSession
 import repro.SparkSpec
 import repro.core.VStoreConfigurator
-import repro.core.VStoreConfigurator.Configuration
 import repro.query.QueryEngine
 import repro.query.QueryEngine.{CascadeResult, Stage}
 import repro.store.SegmentStore
 import repro.video.{OperatorModel, SynthVideo, VideoProfile}
-import repro.video.OperatorModel.Operator
 
 /** The executed path end to end: `VideoSec` seconds of jackson and of
-  * dashcam are synthesized, ingested into the configuration's storage
-  * formats, and queried, query A over jackson and query B over dashcam, at
+  * dashcam are synthesized, ingested into the default configuration's
+  * storage formats, and queried, query A over jackson and query B over dashcam, at
   * every accuracy level, each cascade one Spark job over the stream's cached
   * frames. `ReportSnapshotSpec` pins its lines (the `executed` snapshot) and
   * `Fig11EndToEndBench` checks its results.
@@ -33,13 +30,7 @@ import repro.video.OperatorModel.Operator
 object ExecutedReport {
 
   /** Seconds of each stream that are ingested and queried. */
-  val VideoSec = 400
-
-  /** Each stream with the query run over it: (query name, video, cascade). */
-  val streams: Seq[(String, VideoProfile, Seq[Operator])] = Seq(
-    ("A", VideoProfile.jackson, OperatorModel.queryA),
-    ("B", VideoProfile.dashcam, OperatorModel.queryB),
-  )
+  private val VideoSec = 400
 
   /** One cascade run at one accuracy level, with the analytic speed of the
     * same stages.
@@ -54,9 +45,17 @@ object ExecutedReport {
   final case class Stream(query: String, video: VideoProfile, catalogRows: Long,
                           bytesBySf: Vector[(String, Double)], runs: Vector[Run])
 
-  def run(spark: SparkSession, cfg: Configuration): Vector[Stream] = {
+  /** The report at the default configuration, run once per test JVM on the
+    * shared session.
+    */
+  lazy val atDefaults: Vector[Stream] = {
+    val spark = SparkSpec.shared
+    val cfg = VStoreConfigurator.derive()
     val labels = Reports.sfLabels(cfg)
-    streams.toVector.map { case (query, video, cascade) =>
+    Vector(
+      ("A", VideoProfile.jackson, OperatorModel.queryA),
+      ("B", VideoProfile.dashcam, OperatorModel.queryB),
+    ).map { case (query, video, cascade) =>
       val frames = SynthVideo.frames(spark, video, VideoSec).cache()
       try {
         val stored = SegmentStore.ingest(spark, frames, cfg.sfs, video)
@@ -91,9 +90,4 @@ object ExecutedReport {
           }
         }
       }
-
-  /** The report at the default configuration, run once per test JVM on the
-    * shared session.
-    */
-  lazy val atDefaults: Vector[Stream] = run(SparkSpec.shared, VStoreConfigurator.derive())
 }
