@@ -8,11 +8,11 @@ import repro.store.SegmentStore
 import repro.video.{OperatorModel, SynthVideo, VideoProfile}
 
 /** The executed path end to end: `VideoSec` seconds of jackson and of
-  * dashcam are synthesized, ingested into the default configuration's
-  * storage formats, and queried, query A over jackson and query B over dashcam, at
-  * every accuracy level, each cascade one Spark job over the stream's cached
-  * frames. `ReportSnapshotSpec` pins its lines (the `executed` snapshot) and
-  * `Fig11EndToEndBench` checks its results.
+  * dashcam are synthesized and ingested into the default configuration's
+  * storage formats, then query A runs over jackson and query B over
+  * dashcam at every accuracy level, each cascade one Spark job over the
+  * stream's cached frames. `ReportSnapshotSpec` pins its lines (the
+  * `executed` snapshot) and `Fig11EndToEndBench` checks its results.
   *
   * Every value in the lines is a function of frame counts and the models,
   * so the lines do not depend on how the frames are partitioned. The one
