@@ -1,6 +1,7 @@
 package repro.core
 
 import scala.annotation.unused
+import scala.collection.mutable
 import repro.video.Formats._
 
 /** §4.4 — age-based data erosion.
@@ -13,6 +14,11 @@ import repro.video.Formats._
   * (max-min fairness); per-age targets follow the power law
   * `P(x) = (1 - Pmin) * x^-k + Pmin`, and the smallest k whose total storage
   * over the lifespan fits the budget is found by binary search.
+  *
+  * Erosion proceeds in 5 % deletion steps along one greedy path whose next
+  * step depends on the current deletions only (`Kernel.stop`). Each age
+  * stops on that path where its target is met, so all ages at all k share
+  * it.
   */
 object Erosion {
 
@@ -87,6 +93,15 @@ object Erosion {
     * `erodible.size`, then the root; deletion states are arrays over that
     * index. Each consumer's chain and each erodible format's name are
     * computed here, once.
+    *
+    * The kernel also holds the greedy erosion path (`stop`). Its next step
+    * depends on the current state alone, never on a target, so every age
+    * at every k stops on this one path: eroding age x from age x - 1's state
+    * until the overall speed is <= P(x) stops at the first path state at or
+    * after age x - 1's whose speed is <= P(x), or at the path's end. Sharing
+    * the path is therefore exact. It also gives the planner's monotonicity:
+    * a later state never deletes less of any format, and a lower target
+    * never stops earlier, so deletions grow with the age and with k.
     */
   private final class Kernel(tree: FormatTree, consumers: Seq[ErosionConsumer]) {
     private val erodible = tree.formats.filterNot(_ == tree.root)
@@ -122,37 +137,57 @@ object Erosion {
     /** Overall speed with every erodible format deleted. */
     def pMin: Double = overall(deletions(erodible.map(_ -> 1.0).toMap))
 
-    /** Erode `del` in place, greedily, until overall speed <= `target`, in
-      * `Step`-sized deletion increments, always picking the format whose
-      * next increment reduces the overall speed the least (fair-scheduler
-      * spirit: spread decay evenly; never touch the root). A format takes
-      * at most 1 / `Step` steps, so this ends.
+    /* The greedy erosion path, built on demand. State 0 is intact; state
+     * t + 1 is state t plus one `Step` on the erodible format whose
+     * increment lowers the overall speed least, ties broken by name
+     * (fair-scheduler spirit: spread decay evenly; never touch the root). A
+     * format takes at most 1 / `Step` steps, so the path is finite; it ends
+     * at the first state in which every erodible format is gone.
+     */
+    private val states = mutable.ArrayBuffer(deletions(Map.empty))
+    private val speeds = mutable.ArrayBuffer(overall(states.head))
+    private var ended = false
+
+    /** Path state t, which must have been reached by `stop`. */
+    def state(t: Int): Array[Double] = states(t)
+
+    /** The first path state at or after `from` whose overall speed is <=
+      * `target`, or the path's last state. This is where eroding from
+      * state `from` to `target` stops: the next step reads the state alone,
+      * never a target.
       */
-    def erode(del: Array[Double], target: Double): Array[Double] = {
-      var speed = overall(del)
-      while (speed > target) {
-        // least speed reduction first; tie-break deterministically by name
-        var best = -1
-        var bestSpeed = 0.0
-        var i = 0
-        while (i < erodible.size) {
-          val d = del(i)
-          if (d < 1.0 - 1e-9) {
-            del(i) = math.min(1.0, d + Step)
-            val sp = overall(del)
-            del(i) = d
-            if (best < 0 || sp > bestSpeed || (sp == bestSpeed && names(i) > names(best))) {
-              best = i
-              bestSpeed = sp
-            }
+    def stop(from: Int, target: Double): Int = {
+      var t = from
+      while (speeds(t) > target && (t + 1 < states.size || extend())) t += 1
+      t
+    }
+
+    /** Append the next path state; false when the last one erodes everything. */
+    private def extend(): Boolean = !ended && {
+      val del = states.last.clone()
+      var best = -1
+      var bestSpeed = 0.0
+      var i = 0
+      while (i < erodible.size) {
+        val d = del(i)
+        if (d < 1.0 - 1e-9) {
+          del(i) = math.min(1.0, d + Step)
+          val sp = overall(del)
+          del(i) = d
+          if (best < 0 || sp > bestSpeed || (sp == bestSpeed && names(i) > names(best))) {
+            best = i
+            bestSpeed = sp
           }
-          i += 1
         }
-        if (best < 0) return del
-        del(best) = math.min(1.0, del(best) + Step)
-        speed = bestSpeed
+        i += 1
       }
-      del
+      ended = best < 0
+      if (!ended) {
+        del(best) = math.min(1.0, del(best) + Step)
+        states += del
+        speeds += bestSpeed
+      }
+      !ended
     }
   }
 
@@ -164,7 +199,7 @@ object Erosion {
   final case class Plan(k: Double, pmin: Double, perAge: Vector[Deletion]) {
     /** Stored bytes at each age given per-format bytes/day. */
     def bytesPerAge(bytesPerDay: Map[StorageFormat, Double]): Vector[Double] =
-      perAge.map(del => bytesPerDay.map { case (sf, b) => b * (1.0 - del.getOrElse(sf, 0.0)) }.sum)
+      perAge.map(storedBytes(bytesPerDay, _))
     /** Total stored bytes over the lifespan; `root` is unused (perfbench passes it). */
     def totalBytes(bytesPerDay: Map[StorageFormat, Double], @unused root: StorageFormat): Double =
       bytesPerAge(bytesPerDay).sum
@@ -175,46 +210,71 @@ object Erosion {
     }
   }
 
+  /** Stored bytes per day under deletion `del`. */
+  private def storedBytes(bytesPerDay: Map[StorageFormat, Double], del: Deletion): Double =
+    bytesPerDay.map { case (sf, b) => b * (1.0 - del.getOrElse(sf, 0.0)) }.sum
+
+  /** The path state each age 1..lifespan stops on at decay factor k. */
+  private def stops(kernel: Kernel, lifespanDays: Int, k: Double, pmin: Double): Array[Int] = {
+    var t = 0
+    Array.tabulate(lifespanDays) { i => t = kernel.stop(t, targetSpeed(i + 1, k, pmin)); t }
+  }
+
+  private def plan(kernel: Kernel, k: Double, pmin: Double, states: Array[Int]): Plan =
+    Plan(k, pmin, states.map(t => kernel.toDeletion(kernel.state(t))).toVector)
+
+  private def requireLifespan(lifespanDays: Int): Unit =
+    require(lifespanDays >= 1, s"erosion: lifespanDays must be at least 1, got $lifespanDays")
+
   /** Build the per-age plan for one decay factor k. Deletions accumulate:
-    * age x starts from age x-1's state.
+    * age x erodes from age x-1's state along the greedy path.
     */
   def planForK(tree: FormatTree, consumers: Seq[ErosionConsumer],
-               lifespanDays: Int, k: Double): Plan =
-    planForK(new Kernel(tree, consumers), lifespanDays, k)
-
-  private def planForK(kernel: Kernel, lifespanDays: Int, k: Double): Plan = {
+               lifespanDays: Int, k: Double): Plan = {
+    requireLifespan(lifespanDays)
+    val kernel = new Kernel(tree, consumers)
     val pmin = kernel.pMin
-    val del = kernel.deletions(Map.empty)
-    val ages = (1 to lifespanDays).map { x =>
-      kernel.toDeletion(kernel.erode(del, targetSpeed(x, k, pmin)))
-    }.toVector
-    Plan(k, pmin, ages)
+    plan(kernel, k, pmin, stops(kernel, lifespanDays, k, pmin))
   }
 
   /** Find the smallest (gentlest) k whose plan fits the storage budget, by
     * binary search (higher k always stores less). Returns k = 0 (no decay)
-    * when the intact store already fits.
+    * when the intact store already fits, and the KMax plan, over budget,
+    * when even that does not fit (a negative budget included).
+    *
+    * Every k the search tries stops on the kernel's one greedy path, so
+    * each path state's stored bytes are computed once, and a try sums them
+    * in age order as `Plan.totalBytes` does, to the same bits.
     */
   def derivePlan(tree: FormatTree, consumers: Seq[ErosionConsumer],
                  bytesPerDay: Map[StorageFormat, Double], lifespanDays: Int,
                  budgetBytes: Double): Plan = {
+    requireLifespan(lifespanDays)
+    require(!budgetBytes.isNaN, "erosion: budgetBytes must be a number, got NaN")
     val kernel = new Kernel(tree, consumers)
-    def fits(k: Double): (Plan, Boolean) = {
-      val p = planForK(kernel, lifespanDays, k)
-      (p, p.totalBytes(bytesPerDay, tree.root) <= budgetBytes)
+    val pmin = kernel.pMin
+    val stateBytes = mutable.ArrayBuffer.empty[Double] // by path state, filled in order
+    def bytesAt(t: Int): Double = {
+      while (stateBytes.size <= t)
+        stateBytes += storedBytes(bytesPerDay, kernel.toDeletion(kernel.state(stateBytes.size)))
+      stateBytes(t)
     }
-    val (p0, ok0) = fits(0.0)
-    if (ok0) return p0
-    val (pMaxPlan, okMax) = fits(KMax)
-    if (!okMax) return pMaxPlan // even max decay cannot fit; return best effort
+    def fits(k: Double): (Array[Int], Boolean) = {
+      val s = stops(kernel, lifespanDays, k, pmin)
+      (s, s.map(bytesAt).sum <= budgetBytes)
+    }
+    val (s0, ok0) = fits(0.0)
+    if (ok0) return plan(kernel, 0.0, pmin, s0)
+    val (sMax, okMax) = fits(KMax)
+    if (!okMax) return plan(kernel, KMax, pmin, sMax) // even max decay cannot fit; return best effort
     var lo = 0.0
     var hi = KMax
-    var best = pMaxPlan
+    var best = sMax // the stops at k = hi, which fits
     while (hi - lo > Tol) {
       val mid = (lo + hi) / 2
-      val (p, ok) = fits(mid)
-      if (ok) { best = p; hi = mid } else lo = mid
+      val (s, ok) = fits(mid)
+      if (ok) { best = s; hi = mid } else lo = mid
     }
-    best
+    plan(kernel, hi, pmin, best)
   }
 }

@@ -68,34 +68,53 @@ object StorageConfig {
 
   /** Smallest-size coding for fidelity `f` whose storage format `admit`s and
     * whose retrieval speed beats every demand; RAW if no encoded option
-    * suffices (R2 case b). Candidates come in `Profiler.codingsBySize`
-    * order, which profiles `f`'s encoded formats once per profiler, so the
-    * pick minimizes storage under the constraints. Returns None when even
-    * RAW is not adequate. R2 is checked once per sampling rate, against the
-    * fastest demand at that rate (`fastestPerRate`).
+    * suffices (R2 case b). Returns None when even RAW is not adequate.
     */
   def cheapestAdequateCoding(profiler: Profiler, f: Fidelity, demands: Seq[Demand],
-                             admit: StorageFormat => Boolean = _ => true): Option[Coding] = {
-    val fastest = fastestPerRate(demands)
+                             admit: StorageFormat => Boolean = _ => true): Option[Coding] =
+    cheapestCoding(profiler, f, fastestPerRate(demands), admit)
+
+  /** The one coding rule of §4.3, on demands kept per sampling rate (see
+    * `fastestPerRate`). Candidates come in `Profiler.codingsBySize` order,
+    * which profiles `f`'s encoded formats once per profiler, so the pick
+    * minimizes storage under the constraints; `admit` sees only candidates
+    * that meet R2.
+    */
+  private def cheapestCoding(profiler: Profiler, f: Fidelity, fastest: Array[Demand],
+                             admit: StorageFormat => Boolean): Option[Coding] = {
     (profiler.codingsBySize(f) :+ Raw).find { c =>
       val sf = StorageFormat(f, c)
-      fastest.forall(retrievalOk(sf, _)) && admit(sf)
+      meets(sf, fastest) && admit(sf)
     }
   }
 
-  /** The fastest of `demands` at each sampling rate, in rate order. R2
-    * reads only a demand's sampling rate and speed, so a format meets all of
-    * `demands` exactly when it meets these. A NaN speed, which no retrieval
-    * meets, wins its rate.
+  /** The fastest of `demands` at each sampling rate, indexed by
+    * `FrameSampling.rank`, null at a rate with no demand. R2 reads only a
+    * demand's sampling rate and speed, so a format meets all of `demands`
+    * exactly when it meets these, and the demands of a node set are the
+    * slot-wise `faster` of its nodes' arrays.
     */
-  private def fastestPerRate(demands: Seq[Demand]): Array[Demand] = {
+  private[core] def fastestPerRate(demands: Seq[Demand]): Array[Demand] = {
     val fastest = new Array[Demand](FrameSampling.all.size)
     demands.foreach { d =>
       val r = d.cf.fidelity.sampling.rank
-      if (fastest(r) == null || d.maxConsumerSpeed.compare(fastest(r).maxConsumerSpeed) > 0) fastest(r) = d
+      fastest(r) = faster(fastest(r), d)
     }
-    fastest.filter(_ != null)
+    fastest
   }
+
+  /** The faster of two demands at one rate (null: no demand). A NaN speed,
+    * which no retrieval meets, wins.
+    */
+  private def faster(a: Demand, b: Demand): Demand =
+    if (a == null || (b != null && b.maxConsumerSpeed.compare(a.maxConsumerSpeed) > 0)) b else a
+
+  private def faster(a: Array[Demand], b: Array[Demand]): Array[Demand] =
+    Array.tabulate(a.length)(r => faster(a(r), b(r)))
+
+  /** R2 against every per-rate demand of `fastest`. */
+  private def meets(sf: StorageFormat, fastest: Array[Demand]): Boolean =
+    fastest.forall(d => d == null || retrievalOk(sf, d))
 
   /** R2: retrieval at the demand's sampling rate must exceed its fastest
     * consumer's consumption speed.
@@ -110,10 +129,17 @@ object StorageConfig {
   def coalescePair(profiler: Profiler, a: Node, b: Node,
                    demandOf: Map[ConsumptionFormat, Demand],
                    admit: StorageFormat => Boolean = _ => true): Option[Node] = {
-    val f2 = Fidelity.max(a.sf.fidelity, b.sf.fidelity)
-    val cfs = a.cfs ++ b.cfs
-    cheapestAdequateCoding(profiler, f2, cfs.toSeq.map(demandOf), admit)
-      .map(c => Node(StorageFormat(f2, c), cfs))
+    def fastest(n: Node) = fastestPerRate(n.cfs.toSeq.map(demandOf))
+    merged(profiler, a.sf, b.sf, faster(fastest(a), fastest(b)), admit).map(Node(_, a.cfs ++ b.cfs))
+  }
+
+  /** The coalesced format of `a` and `b` for the pair's per-rate demands
+    * `fastest`: knob-wise max fidelity and `cheapestCoding`.
+    */
+  private def merged(profiler: Profiler, a: StorageFormat, b: StorageFormat,
+                     fastest: Array[Demand], admit: StorageFormat => Boolean): Option[StorageFormat] = {
+    val f2 = Fidelity.max(a.fidelity, b.fidelity)
+    cheapestCoding(profiler, f2, fastest, admit).map(StorageFormat(f2, _))
   }
 
   /** The initial node set: one SF per unique CF, then the golden node. */
@@ -126,10 +152,14 @@ object StorageConfig {
     perCf.toVector :+ Node(Formats.golden(demands.map(_.cf)), Set.empty)
   }
 
-  /** A working node with its integer id and profiled storage and ingest
-    * cost. A merge or a coding tune makes a new node with a fresh id.
+  /** A working node's format with its integer id, its fastest demand per
+    * sampling rate (`fastestPerRate`) and its profiled storage and ingest
+    * cost. A merge or a coding tune makes a new slot with a fresh id. The
+    * CFs a slot serves are kept beside it, since only applied merges need
+    * their union.
     */
-  private[core] final case class Slot(id: Int, node: Node, bytes: Double, cores: Double)
+  private[core] final case class Slot(id: Int, sf: StorageFormat, fastest: Array[Demand],
+                                      bytes: Double, cores: Double)
 
   /** A candidate merge of slots `i` < `j` into `slot`, with the total
     * storage and ingest cost the node set would have after it.
@@ -145,18 +175,24 @@ object StorageConfig {
     * merges keyed by the pair's ids, and a round evaluates only the pairs
     * it has not seen (lazy re-evaluation, Minoux 1978). Totals are rebuilt
     * every round in pair order, so ties break as a full re-evaluation would.
+    *
+    * A pair's demands are the slot-wise `faster` of its two slots' per-rate
+    * arrays, which is exact because R2 reads only a demand's rate and
+    * speed; the pair's CF union is built only when its merge is applied.
     */
   def derive(profiler: Profiler, consumers: Seq[(Consumer, ConsumptionFormat, Double)],
              ingestBudgetCores: Option[Double] = None): Result = {
     val ds = demands(consumers)
     val demandOf = ds.map(d => d.cf -> d).toMap
     var nextId = 0
-    def slot(n: Node): Slot = {
-      val p = profiler.profileSf(n.sf)
+    def slot(sf: StorageFormat, fastest: Array[Demand]): Slot = {
+      val p = profiler.profileSf(sf)
       nextId += 1
-      Slot(nextId - 1, n, p.bytesPerSec, p.ingestCores)
+      Slot(nextId - 1, sf, fastest, p.bytesPerSec, p.ingestCores)
     }
-    var slots = initialNodes(profiler, ds).map(slot)
+    val initial = initialNodes(profiler, ds)
+    var slots = initial.map(n => slot(n.sf, fastestPerRate(n.cfs.toSeq.map(demandOf))))
+    var served = initial.map(_.cfs) // the CFs of each slot, aligned with `slots`
     var rounds = 0
     def storage: Double = slots.map(_.bytes).sum
     def ingest: Double = slots.map(_.cores).sum
@@ -170,12 +206,17 @@ object StorageConfig {
         i <- slots.indices
         j <- slots.indices if j > i
         (a, b) = (slots(i), slots(j))
-        m <- table.getOrElseUpdate((a.id.toLong << 32) | b.id,
-          coalescePair(profiler, a.node, b.node, demandOf, admit(a, b)).map(slot))
+        m <- table.getOrElseUpdate((a.id.toLong << 32) | b.id, {
+          val fastest = faster(a.fastest, b.fastest)
+          merged(profiler, a.sf, b.sf, fastest, admit(a, b)).map(slot(_, fastest))
+        })
       } yield Merge(i, j, m, st - a.bytes - b.bytes + m.bytes, in - a.cores - b.cores + m.cores)
     }
     def apply(m: Merge): Unit = {
-      slots = slots.zipWithIndex.collect { case (s, k) if k != m.i && k != m.j => s } :+ m.slot
+      def others[T](v: Vector[T]): Vector[T] =
+        v.zipWithIndex.collect { case (x, k) if k != m.i && k != m.j => x }
+      served = others(served) :+ (served(m.i) ++ served(m.j))
+      slots = others(slots) :+ m.slot
       rounds += 1
     }
 
@@ -194,7 +235,7 @@ object StorageConfig {
     // fidelity is the erosion anchor (§4.4) and is never stored RAW: its
     // raw footprint would dwarf every other cost.
     ingestBudgetCores.foreach { budget =>
-      val goldenFid = root(slots.map(_.node.sf)).fidelity
+      val goldenFid = root(slots.map(_.sf)).fidelity
       def noRawGolden(sf: StorageFormat): Boolean = !(sf.coding.isRaw && sf.fidelity == goldenFid)
       // a budget merge only helps if it lowers ingest below the pair's own cost
       def cheaperThanPair(a: Slot, b: Slot): StorageFormat => Boolean = {
@@ -203,14 +244,14 @@ object StorageConfig {
       }
       val budgetMerges = mutable.LongMap.empty[Option[Slot]]
       def tuneOrCoalesce(): Boolean =
-        bestCodingTune(profiler, slots, demandOf, noRawGolden) match {
-          case Some((idx, node)) => slots = slots.updated(idx, slot(node)); true
+        bestCodingTune(profiler, slots, noRawGolden) match {
+          case Some((idx, sf)) => slots = slots.updated(idx, slot(sf, slots(idx).fastest)); true
           case None => merges(budgetMerges, cheaperThanPair).minByOption(_.storage).map(apply).isDefined
         }
       while (ingest > budget && tuneOrCoalesce()) ()
     }
 
-    Result(slots.map(_.node), rounds)
+    Result(slots.zip(served).map { case (s, cfs) => Node(s.sf, cfs) }, rounds)
   }
 
   /** One coding-tuning move for the ingest budget: among all nodes, step one
@@ -218,19 +259,18 @@ object StorageConfig {
     * then RAW as the last resort — choosing the node where the move costs
     * the least extra storage per core saved. Cheaper coding decodes faster,
     * so retrieval adequacy is preserved by construction (checked anyway for
-    * the RAW jump). `admit` filters the tuned formats. Each slot's own
-    * cost is its cached profile; only the tuned format is profiled.
+    * the RAW jump, against the slot's per-rate demands). `admit` filters
+    * the tuned formats. Each slot's own cost is its cached profile; only the
+    * tuned format is profiled.
     */
   private def bestCodingTune(profiler: Profiler, slots: Vector[Slot],
-                             demandOf: Map[ConsumptionFormat, Demand],
-                             admit: StorageFormat => Boolean): Option[(Int, Node)] =
+                             admit: StorageFormat => Boolean): Option[(Int, StorageFormat)] =
     slots.zipWithIndex.flatMap { case (s, idx) =>
-      val n = s.node
-      nextCheaperCoding(n.sf.coding)
-        .map(StorageFormat(n.sf.fidelity, _))
-        .filter(sf2 => admit(sf2) && n.cfs.forall(cf => retrievalOk(sf2, demandOf(cf))))
-        .flatMap(sf2 => tuneCost(s, profiler.profileSf(sf2)).map((idx, Node(sf2, n.cfs), _)))
-    }.minByOption(_._3).map { case (idx, node, _) => (idx, node) }
+      nextCheaperCoding(s.sf.coding)
+        .map(StorageFormat(s.sf.fidelity, _))
+        .filter(sf2 => admit(sf2) && meets(sf2, s.fastest))
+        .flatMap(sf2 => tuneCost(s, profiler.profileSf(sf2)).map((idx, sf2, _)))
+    }.minByOption(_._3).map { case (idx, sf2, _) => (idx, sf2) }
 
   /** The price of tuning slot `s` to a coding profiled as `tuned`: extra
     * bytes stored per core of ingest saved. None when the tune saves no

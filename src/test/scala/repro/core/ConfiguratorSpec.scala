@@ -135,4 +135,23 @@ class ConfiguratorSpec extends AnyFunSuite {
     assert(counters(fresh.profilerA) === ((333, 916, 6016)))
     assert(counters(fresh.profilerB) === ((235, 0, 0)))
   }
+
+  test("profiler run counters under every Table 3 budget") {
+    // (opRuns, sfRuns, sfExamined) of profiler A: a budget tighter than the
+    // unbudgeted ingest profiles the tuned codings and the cheaper-than-pair
+    // merges of phase 2; profiler B profiles only query B's operators
+    val pinned = Map[Option[Double], (Int, Int, Int)](
+      None -> ((333, 916, 6016)), Some(10.0) -> ((333, 916, 6016)),
+      Some(8.0) -> ((333, 916, 6019)), Some(4.0) -> ((333, 916, 6019)),
+      Some(3.0) -> ((333, 916, 6019)), Some(2.0) -> ((333, 916, 6022)),
+      Some(1.0) -> ((333, 916, 6025)), Some(0.5) -> ((333, 916, 6031)),
+      Some(0.15) -> ((333, 917, 6044)))
+    assert(pinned.keySet === Reports.table3Budgets.toSet)
+    for (budget <- Reports.table3Budgets) {
+      val fresh = VStoreConfigurator.derive(ingestBudgetCores = budget)
+      def counters(p: Profiler) = (p.opRuns, p.sfRuns, p.sfExamined)
+      assert(counters(fresh.profilerA) === pinned(budget), s"budget $budget")
+      assert(counters(fresh.profilerB) === ((235, 0, 0)), s"budget $budget")
+    }
+  }
 }

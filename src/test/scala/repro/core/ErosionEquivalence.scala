@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.mutable
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Erosion._
@@ -18,6 +19,20 @@ class ErosionEquivalence extends AnyFunSuite {
 
   private val shares = Seq(1.1, 0.8, 0.6, 0.4)
   private val lifespan = Reports.fig12LifespanDays
+  /** k from 0 to KMax in steps of 0.25. */
+  private val grid = (0 to (KMax * 4).toInt).map(_ / 4.0)
+
+  /** The reference plan at every k of the 0.25 grid and at every k the
+    * reference `derivePlan` tries at each erosion share.
+    */
+  private def referencePlans(tree: FormatTree, ecs: Seq[ErosionConsumer],
+                             bpd: Map[StorageFormat, Double]): collection.Map[Double, Plan] = {
+    val plans = mutable.LinkedHashMap.empty[Double, Plan]
+    def planFor(k: Double) = plans.getOrElseUpdate(k, Reference.planForK(tree, ecs, lifespan, k))
+    grid.foreach(planFor)
+    shares.foreach(share => Reference.searchK(bpd, share * bpd.values.sum * lifespan, planFor))
+    plans
+  }
 
   /** The default consumers plus 50 seeded subsets, each under every
     * Table 3 ingest budget: (label, tree, consumers, bytes per day).
@@ -49,11 +64,12 @@ class ErosionEquivalence extends AnyFunSuite {
       mismatches.take(3).mkString("; "))
   }
 
+  // at every k of the 0.25 grid and every k derivePlan's search tries
   test("planForK, pMin and the per-age speeds equal the reference") {
     val mismatches = for {
-      (label, tree, ecs, _) <- cases
-      k <- Seq(0.5, 2.0, KMax)
-      (got, want) = (planForK(tree, ecs, lifespan, k), Reference.planForK(tree, ecs, lifespan, k))
+      (label, tree, ecs, bpd) <- cases
+      (k, want) <- referencePlans(tree, ecs, bpd)
+      got = planForK(tree, ecs, lifespan, k)
       wantSpeeds = want.perAge.map(Reference.overallSpeed(tree, _, ecs))
       if got != want || pMin(tree, ecs) != Reference.pMin(tree, ecs) ||
         got.speeds(tree, ecs) != wantSpeeds ||
@@ -61,6 +77,22 @@ class ErosionEquivalence extends AnyFunSuite {
           ecs.exists(c => overallSpeed(tree, del, Seq(c)) != Reference.relativeSpeed(tree, del, c)))
     } yield s"$label, k $k"
     assert(mismatches.isEmpty, mismatches.take(3).mkString("; "))
+  }
+
+  test("a tree with no consumers plans as the reference") {
+    // every step ties at speed 1, so the path erodes every format in name
+    // order; every target is 1 too, so no age takes a step
+    val (_, tree, _, bpd) = cases.head
+    assert(pMin(tree, Nil) === 1.0 && Reference.pMin(tree, Nil) === 1.0)
+    for ((k, want) <- referencePlans(tree, Nil, bpd)) {
+      assert(planForK(tree, Nil, lifespan, k) === want, s"k $k")
+      assert(want.perAge.forall(_.values.forall(_ == 0.0)), s"k $k")
+    }
+    for (share <- shares) {
+      val budgetBytes = share * bpd.values.sum * lifespan
+      assert(derivePlan(tree, Nil, bpd, lifespan, budgetBytes) ===
+        Reference.derivePlan(tree, Nil, bpd, lifespan, budgetBytes), s"share $share")
+    }
   }
 
   test("equal speeds break by format name, as in the reference") {
@@ -123,6 +155,8 @@ class ErosionEquivalence extends AnyFunSuite {
 
   /** The earlier Map-based implementation, kept only as the oracle of this
     * suite. `Step`, `Tol` and `KMax` are the planner's constants.
+    * `searchK` takes each k's plan from `planFor`, so a caller can see and
+    * share the plans the search tries.
     */
   private object Reference {
     private val Step = 0.05
@@ -185,9 +219,14 @@ class ErosionEquivalence extends AnyFunSuite {
 
     def derivePlan(tree: FormatTree, consumers: Seq[ErosionConsumer],
                    bytesPerDay: Map[StorageFormat, Double], lifespanDays: Int,
-                   budgetBytes: Double): Plan = {
+                   budgetBytes: Double): Plan =
+      searchK(bytesPerDay, budgetBytes, planForK(tree, consumers, lifespanDays, _))
+
+    /** `derivePlan`'s binary search over k, on `planFor`'s plans. */
+    def searchK(bytesPerDay: Map[StorageFormat, Double], budgetBytes: Double,
+                planFor: Double => Plan): Plan = {
       def fits(k: Double): (Plan, Boolean) = {
-        val p = planForK(tree, consumers, lifespanDays, k)
+        val p = planFor(k)
         (p, p.bytesPerAge(bytesPerDay).sum <= budgetBytes)
       }
       val (p0, ok0) = fits(0.0)

@@ -209,6 +209,26 @@ class ErosionSpec extends AnyFunSuite {
     assert(k50 >= k80, s"k80=$k80 k50=$k50")
   }
 
+  test("a lifespan under one day fails with a named error") {
+    val bpd = Map(golden -> 100.0, mid -> 50.0, raw -> 200.0)
+    for (days <- Seq(0, -3)) {
+      val errors = Seq(
+        intercept[IllegalArgumentException](Erosion.planForK(tree, consumers, days, 1.0)),
+        intercept[IllegalArgumentException](Erosion.derivePlan(tree, consumers, bpd, days, 1e6)))
+      errors.foreach(e => assert(e.getMessage.contains("lifespanDays must be at least 1") &&
+        e.getMessage.contains(s"got $days"), e.getMessage))
+    }
+  }
+
+  test("a NaN storage budget fails with a named error; a negative one is best effort") {
+    val bpd = Map(golden -> 100.0, mid -> 50.0, raw -> 200.0)
+    val e = intercept[IllegalArgumentException](
+      Erosion.derivePlan(tree, consumers, bpd, 10, Double.NaN))
+    assert(e.getMessage.contains("budgetBytes must be a number, got NaN"), e.getMessage)
+    val negative = Erosion.derivePlan(tree, consumers, bpd, 10, -1.0)
+    assert(negative === Erosion.planForK(tree, consumers, 10, Erosion.KMax))
+  }
+
   test("end-to-end erosion over the real derived configuration") {
     val cfg = VStoreConfigurator.derive()
     val (tree2, cons2) = VStoreConfigurator.erosionInputs(cfg)

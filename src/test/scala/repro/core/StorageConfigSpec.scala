@@ -302,9 +302,9 @@ class StorageConfigSpec extends AnyFunSuite {
   }
 
   test("a coding tune costs the extra bytes per core of ingest it saves") {
-    import StorageConfig.{Node, Slot, tuneCost}
+    import StorageConfig.{Slot, fastestPerRate, tuneCost}
     import Profiler.SfProfile
-    val slot = Slot(0, Node(StorageFormat(Fidelity.full, Coding.slowestSmallest), Set.empty),
+    val slot = Slot(0, StorageFormat(Fidelity.full, Coding.slowestSmallest), fastestPerRate(Nil),
       bytes = 100.0, cores = 4.0)
     assert(tuneCost(slot, SfProfile(bytesPerSec = 130.0, ingestCores = 1.0)) === Some(10.0))
     assert(tuneCost(slot, SfProfile(bytesPerSec = 90.0, ingestCores = 3.5)) === Some(-20.0))
