@@ -253,12 +253,9 @@ object Erosion {
     require(!budgetBytes.isNaN, "erosion: budgetBytes must be a number, got NaN")
     val kernel = new Kernel(tree, consumers)
     val pmin = kernel.pMin
-    val stateBytes = mutable.ArrayBuffer.empty[Double] // by path state, filled in order
-    def bytesAt(t: Int): Double = {
-      while (stateBytes.size <= t)
-        stateBytes += storedBytes(bytesPerDay, kernel.toDeletion(kernel.state(stateBytes.size)))
-      stateBytes(t)
-    }
+    val stateBytes = mutable.LongMap.empty[Double] // by path state
+    def bytesAt(t: Int): Double =
+      stateBytes.getOrElseUpdate(t, storedBytes(bytesPerDay, kernel.toDeletion(kernel.state(t))))
     def fits(k: Double): (Array[Int], Boolean) = {
       val s = stops(kernel, lifespanDays, k, pmin)
       (s, s.map(bytesAt).sum <= budgetBytes)

@@ -103,11 +103,14 @@ object StorageConfig {
     fastest
   }
 
-  /** The faster of two demands at one rate (null: no demand). A NaN speed,
-    * which no retrieval meets, wins.
+  /** The faster of two demands at one rate (null: no demand), by
+    * `java.lang.Double.compare`: the total order `RichDouble.compare`
+    * delegates to, without its boxing. A NaN speed, which no retrieval
+    * meets, wins.
     */
   private def faster(a: Demand, b: Demand): Demand =
-    if (a == null || (b != null && b.maxConsumerSpeed.compare(a.maxConsumerSpeed) > 0)) b else a
+    if (a == null || (b != null && java.lang.Double.compare(b.maxConsumerSpeed, a.maxConsumerSpeed) > 0)) b
+    else a
 
   private def faster(a: Array[Demand], b: Array[Demand]): Array[Demand] =
     Array.tabulate(a.length)(r => faster(a(r), b(r)))
